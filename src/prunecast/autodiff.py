@@ -222,6 +222,13 @@ def transpose_last2(a) -> Tensor:
                    lambda g: (g.swapaxes(-1, -2),))
 
 
+def swap_axes(a, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; the result is a view, like ``np.swapaxes``."""
+    a = constant(a)
+    return _record([a], a.data.swapaxes(axis1, axis2),
+                   lambda g: (g.swapaxes(axis1, axis2),))
+
+
 def reshape(a, shape) -> Tensor:
     a = constant(a)
     old = a.shape
@@ -235,16 +242,41 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """GELU, tanh form: x * 0.5 * (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))."""
+    """GELU, tanh form: x * 0.5 * (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+
+    The cubic is x² · x, not ``x ** 3``: numpy's general ``pow`` costs more
+    than the rest of the op. Temporaries are reused in place.
+    """
     a = constant(a)
-    x = a.data
-    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    # 0-d products come back as numpy scalars, which cannot take out=
+    x = a.data.reshape(a.shape or (1,))
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def bw(g):
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-        return (g * d,)
+        # 0.5(1 + t) + 0.5 x (1 - t²) C (1 + 3A x²)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x
+        d *= 0.5 * _GELU_C
+        p = x * x
+        p *= 3.0 * _GELU_A
+        p += 1.0
+        d *= p
+        np.add(t, 1.0, out=p)
+        p *= 0.5
+        d += p
+        d *= g
+        return (d.reshape(a.shape),)
 
-    return _record([a], 0.5 * x * (1.0 + t), bw)
+    return _record([a], out.reshape(a.shape), bw)
 
 
 def softmax_rows(a) -> Tensor:
@@ -296,7 +328,7 @@ def rms_norm(a, gain, eps: float) -> Tensor:
 
     def bw(g):
         gy = g * gd
-        dx = gy / r - x * (gy * x).mean(axis=-1, keepdims=True) / r ** 3
+        dx = gy / r - x * (gy * x).mean(axis=-1, keepdims=True) / (r * r * r)
         return dx, _reduce_to(g * y, gain.shape)
 
     return _record([a, gain], y * gd, bw)
@@ -340,12 +372,19 @@ def concat_last(parts: Sequence) -> Tensor:
     return _record(parts, np.concatenate([p.data for p in parts], axis=-1), bw)
 
 
+def _check_unique(idx: np.ndarray, op: str) -> None:
+    """Strictly increasing indices are unique; only others pay for ``np.unique``."""
+    if (idx[1:] > idx[:-1]).all():
+        return
+    if idx.size != np.unique(idx).size:
+        raise ValueError(f"{op} indices must be unique")
+
+
 def gather_last(a, idx: np.ndarray) -> Tensor:
     """Select columns of the last axis; indices must be unique."""
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size != np.unique(idx).size:
-        raise ValueError("gather_last indices must be unique")
+    _check_unique(idx, "gather_last")
 
     def bw(g):
         z = np.zeros(a.shape)
@@ -359,8 +398,7 @@ def scatter_last(a, idx: np.ndarray, width: int) -> Tensor:
     """Place columns into a zero tensor of the given trailing width."""
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size != np.unique(idx).size:
-        raise ValueError("scatter_last indices must be unique")
+    _check_unique(idx, "scatter_last")
     out = np.zeros(a.shape[:-1] + (width,))
     out[..., idx] = a.data
     return _record([a], out, lambda g: (g[..., idx],))

@@ -211,7 +211,7 @@ class AnalysisCapture:
     def __init__(self):
         self.residuals: list[np.ndarray] = []      # per layer: (B, T, d) pre-MHA residual
         self.post_attn: list[np.ndarray] = []      # per layer: (B, T, d) after the MHA add
-        self.head_outputs: list[np.ndarray] = []   # per layer: (H, B, T, d)
+        self.head_outputs: list[np.ndarray] = []   # per layer: (H, B, T, d), head first
         self.activations: list[np.ndarray] = []    # per layer: (B, T, d_ffn) post-activation
 
 
@@ -352,31 +352,33 @@ class Forecaster:
                     cap: AnalysisCapture | None = None) -> Tensor:
         """Multi-head scaled dot-product attention over (…, T, d) tokens.
 
-        Per-head outputs summed through the output projection; no residual
-        add, no pre-normalization; the block wiring supplies those.
+        Q/K/V are split once into (…, H, T, d_h) views, and every head runs
+        in one batched score/softmax/context pass. The contexts are merged
+        back to (…, T, d) for the output projection, which sums the heads.
+        No residual add, no pre-normalization; the block wiring supplies those.
         """
         cfg = self.cfg
         ctx = ctx or ForwardContext()
         x = ad.constant(x)
-        q = block.wq.forward(x, ctx)
-        k = block.wk.forward(x, ctx)
-        v = block.wv.forward(x, ctx)
-        inv_scale = 1.0 / math.sqrt(cfg.head_dim)
-        contexts = []
-        for i in range(cfg.heads):
-            g = self.head_group(i)
-            qi = ad.slice_last(q, g.start, g.stop)
-            ki = ad.slice_last(k, g.start, g.stop)
-            vi = ad.slice_last(v, g.start, g.stop)
-            scores = ad.scale(ad.matmul(qi, ad.transpose_last2(ki)), inv_scale)
-            if causal is not None:
-                scores = ad.add(scores, ad.constant(causal))
-            attn = ad.softmax_rows(scores)
-            contexts.append(ad.matmul(attn, vi))
-        ctx_cat = ad.concat_last(contexts)
+        lead, t = x.shape[:-2], x.shape[-2]
+        split = lead + (t, cfg.heads, cfg.head_dim)
+
+        def heads(proj: MaskedLinear) -> Tensor:
+            return ad.swap_axes(ad.reshape(proj.forward(x, ctx), split), -3, -2)
+
+        q, k, v = heads(block.wq), heads(block.wk), heads(block.wv)
+        # K is copied by the transpose so that Q·Kᵀ multiplies the same
+        # contiguous layout as the sliced forward, which keeps an unpruned
+        # sliced model bit-identical to this one.
+        scores = ad.scale(ad.matmul(q, ad.transpose_last2(k)),
+                          1.0 / math.sqrt(cfg.head_dim))
+        if causal is not None:
+            scores = ad.add(scores, ad.constant(causal))
+        contexts = ad.matmul(ad.softmax_rows(scores), v)
         if cap is not None:
-            cap.head_outputs.append(self._head_outputs(block, contexts))
-        return block.wo.forward(ctx_cat, ctx)
+            cap.head_outputs.append(self._head_outputs(block, contexts.data))
+        merged = ad.reshape(ad.swap_axes(contexts, -3, -2), lead + (t, cfg.d_model))
+        return block.wo.forward(merged, ctx)
 
     def _attention(self, block: Block, x: Tensor, ctx: ForwardContext,
                    causal: np.ndarray | None, cap: AnalysisCapture | None) -> Tensor:
@@ -386,12 +388,16 @@ class Forecaster:
             cap.post_attn.append(out.data.copy())
         return out
 
-    def _head_outputs(self, block: Block, contexts: list[Tensor]) -> np.ndarray:
-        """Per-head contributions o_i to the residual, masks applied (numpy side)."""
+    def _head_outputs(self, block: Block, contexts: np.ndarray) -> np.ndarray:
+        """Per-head contributions o_i to the residual, masks applied.
+
+        ``contexts`` is the batched (…, H, T, d_h) attention context; the
+        result stacks the heads first, (H, …, T, d).
+        """
         outs = []
-        for i, ctx_i in enumerate(contexts):
+        for i in range(self.cfg.heads):
             g = self.head_group(i)
-            ci = ctx_i.data * block.wo.m_in[g]
+            ci = contexts[..., i, :, :] * block.wo.m_in[g]
             outs.append((ci @ block.wo.w[g, :]) * block.wo.m_out)
         return np.stack(outs)
 

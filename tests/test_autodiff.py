@@ -95,6 +95,32 @@ class TestElementwise:
             [x], 0)
         assert_grads_close(grads[0], numeric, rtol=1e-5, label="gelu")
 
+    def test_gelu_forward_matches_reference_formula(self):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 60001), [-1e3, 1e3]])
+        c = np.sqrt(2.0 / np.pi)
+        reference = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+        err = np.abs(ad.gelu(x).data - reference)
+        # Where tanh nears -1, 1 + tanh cancels: x³ rounded another way can
+        # move tanh by one ulp, which the output sees as 0.5|x|·ulp, a large
+        # relative change of a tiny value. Elsewhere the bound is rtol 1e-14.
+        tail = 0.5 * np.abs(x) * np.finfo(np.float64).eps
+        assert (err <= 1e-14 * np.abs(reference) + tail).all()
+        assert (err[x > -1.0] <= 1e-14 * np.abs(reference[x > -1.0])).all()
+
+    def test_gelu_gradient_vs_finite_differences(self, rng):
+        x = rng.uniform(-6, 6, (3, 5, 7))
+        t = rng.uniform(-1, 1, (3, 5, 7))
+        _check_op(lambda a: ad.mse_loss(ad.gelu(a), ad.constant(t)), [x],
+                  rtol=1e-6, label="gelu")
+
+    def test_gelu_scalar_keeps_shape(self):
+        tape = ad.Tape()
+        x = tape.watch(np.array(0.7))
+        y = ad.gelu(x)
+        tape.backward(y)
+        assert y.shape == () and tape.grad(x).shape == ()
+        np.testing.assert_allclose(y.data, ad.gelu(np.array([0.7])).data[0], rtol=0)
+
     def test_mse_identity_zero_loss_zero_grad(self, rng):
         x = rng.uniform(-2, 2, (3, 4))
         val, grads = _tape_grads(lambda t: ad.mse_loss(t, ad.constant(x.copy())), [x])
@@ -153,6 +179,33 @@ class TestStructuralOps:
         _check_op(lambda a: ad.mse_loss(
             ad.scatter_last(ad.gather_last(a, idx), np.array([0, 3, 7]), 8),
             ad.constant(t)), [x], rtol=1e-6, label="gather/scatter")
+
+    def test_duplicate_indices_rejected_sorted_or_not(self, rng):
+        x = rng.uniform(-2, 2, (2, 5))
+        for idx in (np.array([0, 2, 2, 4]), np.array([3, 1, 3])):
+            with pytest.raises(ValueError, match="gather_last indices must be unique"):
+                ad.gather_last(x, idx)
+            with pytest.raises(ValueError, match="scatter_last indices must be unique"):
+                ad.scatter_last(x[:, :idx.size], idx, 5)
+
+    def test_unsorted_unique_indices_accepted(self, rng):
+        x = rng.uniform(-2, 2, (2, 5))
+        idx = np.array([4, 0, 2])
+        np.testing.assert_array_equal(ad.gather_last(x, idx).data, x[:, idx])
+        placed = ad.scatter_last(x[:, :3], idx, 5).data
+        np.testing.assert_array_equal(placed[:, idx], x[:, :3])
+        np.testing.assert_array_equal(placed[:, [1, 3]], np.zeros((2, 2)))
+
+    def test_swap_axes_gradient(self, rng):
+        x = rng.uniform(-2, 2, (2, 3, 4, 5))
+        t = rng.uniform(-1, 1, (2, 4, 3, 5))
+        out = ad.swap_axes(x, -3, -2)
+        np.testing.assert_array_equal(out.data, x.swapaxes(1, 2))
+        # a product, so the gradient depends on where each entry went
+        w = rng.uniform(-1, 1, (5, 5))
+        _check_op(lambda a: ad.mse_loss(ad.matmul(ad.swap_axes(a, -3, -2), ad.constant(w)),
+                                        ad.constant(t)),
+                  [x], rtol=1e-6, label="swap_axes")
 
     def test_take_token_and_transpose_gradients(self, rng):
         x = rng.uniform(-2, 2, (2, 4, 3))

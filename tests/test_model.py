@@ -5,8 +5,10 @@ import pytest
 
 from prunecast import autodiff as ad
 from prunecast.errors import ShapeError
-from prunecast.model import (Forecaster, ForecasterConfig, ForwardContext,
+from prunecast.model import (NEG_INF, Forecaster, ForecasterConfig, ForwardContext,
                              MaskedLinear)
+
+from conftest import assert_grads_close
 
 
 def tiny_config(**overrides):
@@ -78,7 +80,79 @@ def reference_mha(xn, block, heads, d_h):
     return out + block.wo.b
 
 
+def per_head_mha(model, block, x, ctx, causal):
+    """The per-head loop the batched attention replaced, as tape ops."""
+    cfg = model.cfg
+    q, k, v = (layer.forward(x, ctx) for layer in (block.wq, block.wk, block.wv))
+    contexts = []
+    for i in range(cfg.heads):
+        g = model.head_group(i)
+        qi, ki, vi = (ad.slice_last(p, g.start, g.stop) for p in (q, k, v))
+        scores = ad.scale(ad.matmul(qi, ad.transpose_last2(ki)), 1.0 / np.sqrt(cfg.head_dim))
+        if causal is not None:
+            scores = ad.add(scores, ad.constant(causal))
+        contexts.append(ad.matmul(ad.softmax_rows(scores), vi))
+    return block.wo.forward(ad.concat_last(contexts), ctx), contexts
+
+
+def mask_attention_randomly(block, rng):
+    for layer in (block.wq, block.wk, block.wv, block.wo):
+        layer.m_in[...] = (rng.random(layer.d_in) >= 0.25).astype(np.float64)
+        layer.m_out[...] = (rng.random(layer.d_out) >= 0.25).astype(np.float64)
+
+
 class TestAttention:
+    @pytest.mark.parametrize("style", ["bidirectional", "causal"])
+    def test_batched_heads_match_per_head_reference(self, rng, style):
+        cfg = tiny_config(layers=1, heads=4, d_model=16, attention=style)
+        model = Forecaster(cfg, seed=6)
+        block = model.blocks[0]
+        mask_attention_randomly(block, rng)
+        t = cfg.tokens
+        causal = np.triu(np.full((t, t), -1e30), k=1) if style == "causal" else None
+        x = rng.normal(0, 1, (3, t, cfg.d_model))
+        target = rng.normal(0, 1, (3, t, cfg.d_model))
+
+        def run(forward):
+            tape = ad.Tape()
+            ctx = ForwardContext(tape)
+            xt = tape.watch(x)
+            out = forward(xt, ctx)
+            tape.backward(ad.mse_loss(out, ad.constant(target)))
+            grads = {name: tape.grad(leaf) for name, leaf in ctx.param_leaves.items()}
+            for lid, (m_in, m_out) in ctx.mask_leaves.items():
+                grads[f"{lid}.m_in"], grads[f"{lid}.m_out"] = tape.grad(m_in), tape.grad(m_out)
+            grads["x"] = tape.grad(xt)
+            return out.data, grads
+
+        out, grads = run(lambda xt, ctx: model.mha_forward(block, xt, ctx, causal))
+        ref_out, ref_grads = run(lambda xt, ctx: per_head_mha(model, block, xt, ctx, causal)[0])
+        assert np.abs(out - ref_out).max() <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.abs(g - ref_grads[name]).max() <= 1e-12, name
+
+    def test_analysis_head_outputs_per_head(self, rng):
+        cfg = tiny_config(layers=2, heads=4, d_model=16, attention="causal")
+        model = Forecaster(cfg, seed=8)
+        for block in model.blocks:
+            mask_attention_randomly(block, rng)
+        windows = rng.normal(0, 1, (3, cfg.context_len))
+        fp = model.forward_batch(windows, analysis=True)
+        t = cfg.tokens
+        causal = np.triu(np.full((t, t), NEG_INF), k=1)
+        for li, block in enumerate(model.blocks):
+            got = fp.analysis.head_outputs[li]
+            assert got.shape == (cfg.heads, 3, t, cfg.d_model)
+            ctx = ForwardContext()
+            xn = block.norm1.forward(ad.constant(fp.analysis.residuals[li]), ctx)
+            _, contexts = per_head_mha(model, block, xn, ctx, causal)
+            for i, ctx_i in enumerate(contexts):
+                g = model.head_group(i)
+                expected = ((ctx_i.data * block.wo.m_in[g]) @ block.wo.w[g, :]) * block.wo.m_out
+                assert np.abs(got[i] - expected).max() <= 1e-12
+
+
     def test_uniform_attention_averages_value_rows(self):
         cfg = tiny_config(layers=1, heads=1)
         model = Forecaster(cfg, seed=1)
@@ -156,6 +230,31 @@ class TestForecasterForward:
         masked = model.forward_batch(window, tape=tape).pred_norm.data
         plain = model.forward_batch(window).pred_norm.data
         np.testing.assert_array_equal(masked, plain)
+
+    def test_rmsnorm_gradients_vs_finite_differences(self, rng):
+        cfg = tiny_config(layers=1, norm="rmsnorm", attention="causal")
+        model = Forecaster(cfg, seed=12)
+        windows = rng.normal(0, 1, (2, cfg.context_len))
+        targets = rng.normal(0, 1, (2, cfg.horizon))
+        tape = ad.Tape()
+        fp = model.forward_batch(windows, tape=tape)
+        tape.backward(ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(targets))))
+
+        def loss_value():
+            f = model.forward_batch(windows)
+            return float(((f.pred_norm.data - f.normalized_targets(targets)) ** 2).mean())
+
+        h = 1e-5
+        for name, arr in model.named_params():
+            numeric = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + h
+                up = loss_value()
+                arr[idx] = orig - h
+                numeric[idx] = (up - loss_value()) / (2 * h)
+                arr[idx] = orig
+            assert_grads_close(tape.grad(fp.ctx.param_leaves[name]), numeric, label=name)
 
     def test_wrong_window_length_rejected(self):
         model = Forecaster(tiny_config(), seed=0)
