@@ -116,11 +116,11 @@ GRANULARITIES = ("element", "row", "column")
 
 def magnitude_values(model: Forecaster, granularity: str) -> np.ndarray:
     if granularity == "element":
-        vals = [np.abs(l.w).ravel() for l in model.masked_linears()]
+        vals = [np.abs(l.w).ravel() for l in model.linears()]
     elif granularity == "row":
-        vals = [np.linalg.norm(l.w, axis=1) for l in model.masked_linears()]
+        vals = [np.linalg.norm(l.w, axis=1) for l in model.linears()]
     elif granularity == "column":
-        vals = [np.linalg.norm(l.w, axis=0) for l in model.masked_linears()]
+        vals = [np.linalg.norm(l.w, axis=0) for l in model.linears()]
     else:
         raise ConfigError(f"granularity must be one of {GRANULARITIES}")
     return np.concatenate(vals)

@@ -391,7 +391,9 @@ def gather_last(a, idx: np.ndarray) -> Tensor:
         z[..., idx] = g
         return (z,)
 
-    return _record([a], a.data[..., idx], bw)
+    # np.take returns a C-contiguous array where a[..., idx] does not, so
+    # products of the gathered columns run the same BLAS path as dense ones.
+    return _record([a], np.take(a.data, idx, axis=-1), bw)
 
 
 def scatter_last(a, idx: np.ndarray, width: int) -> Tensor:

@@ -41,7 +41,7 @@ def checkpoint_bytes(model: Forecaster, ledger: ImportanceLedger | None = None) 
                     "has_bias": l.b is not None,
                     "m_in": l.m_in.astype(int).tolist(),
                     "m_out": l.m_out.astype(int).tolist()}
-                   for l in model.masked_linears()],
+                   for l in model.linears()],
         "ema": None if ledger is None else ledger.to_dict(),
         "index_maps": index_maps(model),
         "tensors": tensors,
@@ -104,7 +104,7 @@ def load_checkpoint(path: str) -> Forecaster:
                                         f"{vals.shape}, model expects {arr.shape}")
         arr[...] = vals
 
-    for layer, spec in zip(model.masked_linears(), header["layers"]):
+    for layer, spec in zip(model.linears(), header["layers"]):
         if layer.layer_id != spec["id"]:
             raise CheckpointFormatError(f"{path}: layer order mismatch at {spec['id']!r}")
         layer.m_in[...] = np.asarray(spec["m_in"], dtype=np.float64)

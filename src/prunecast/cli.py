@@ -9,6 +9,7 @@ figures go to a separate timings.json so re-runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -146,6 +147,10 @@ def validate_config(raw: dict) -> dict:
         if data.get("channels") is not None and data.get("channel_prefix") is not None:
             errors.append("data: channels and channel_prefix are mutually exclusive")
 
+    if cfg.get("model"):
+        from .model import config_problems
+
+        errors.extend(config_problems(cfg["model"]))
     prune = cfg.get("prune")
     if prune and prune["variant"] not in _VARIANTS:
         errors.append(f"prune.variant: must be one of {_VARIANTS}")
@@ -385,7 +390,6 @@ def cmd_prune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
 
 def cmd_finetune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
     from .checkpoint import save_checkpoint
-    from .slicing import slice_pruned
     from .training import finetune
 
     _require(cfg, "data", "train")
@@ -393,12 +397,7 @@ def cmd_finetune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
     model = _load_model(checkpoint, cfg)
     train_ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "train")
     val_ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "val")
-    if cfg["train"]["mode"] == "sliced":
-        sliced = slice_pruned(model)
-        _, history = finetune(sliced, train_ws, val_ws, _train_config(cfg))
-        sliced.write_back(model)
-    else:
-        _, history = finetune(model, train_ws, val_ws, _train_config(cfg))
+    _, history = finetune(model, train_ws, val_ws, _train_config(cfg))
     save_checkpoint(model, str(out / "finetuned.ckpt"))
     _write_json(out / "finetune_history.json",
                 {"history": history, "mode": cfg["train"]["mode"],
@@ -407,7 +406,8 @@ def cmd_finetune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
     return ["finetuned.ckpt", "finetune_history.json"]
 
 
-def cmd_eval(cfg: dict, out: Path, checkpoint: str) -> list[str]:
+def cmd_report(cfg: dict, out: Path, checkpoint: str, report: str) -> list[str]:
+    """Evaluate on the test part; eval and transfer differ only in ``report``."""
     from .training import evaluate
 
     _require(cfg, "data")
@@ -415,12 +415,12 @@ def cmd_eval(cfg: dict, out: Path, checkpoint: str) -> list[str]:
     model = _load_model(checkpoint, cfg)
     ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "test")
     normalized = cfg["train"]["normalized_metrics"] if cfg.get("train") else True
-    report = evaluate(model, ws, normalized=normalized)
-    _write_json(out / "eval_report.json", report.to_dict(include_timing=False))
+    result = evaluate(model, ws, normalized=normalized)
+    _write_json(out / report, result.to_dict(include_timing=False))
     _write_json(out / "timings.json",
                 {"wall_seconds": time.perf_counter() - t0,
-                 "inference_seconds": report.inference_seconds})
-    return ["eval_report.json"]
+                 "inference_seconds": result.inference_seconds})
+    return [report]
 
 
 def cmd_bench(cfg: dict, out: Path, checkpoint: str,
@@ -452,22 +452,6 @@ def cmd_bench(cfg: dict, out: Path, checkpoint: str,
     return ["bench_report.json"]
 
 
-def cmd_transfer(cfg: dict, out: Path, checkpoint: str) -> list[str]:
-    from .training import evaluate
-
-    _require(cfg, "data")
-    t0 = time.perf_counter()
-    model = _load_model(checkpoint, cfg)
-    ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "test")
-    normalized = cfg["train"]["normalized_metrics"] if cfg.get("train") else True
-    report = evaluate(model, ws, normalized=normalized)
-    _write_json(out / "transfer_report.json", report.to_dict(include_timing=False))
-    _write_json(out / "timings.json",
-                {"wall_seconds": time.perf_counter() - t0,
-                 "inference_seconds": report.inference_seconds})
-    return ["transfer_report.json"]
-
-
 # ---------------------------------------------------------------------- main
 
 _COMMANDS = {
@@ -475,9 +459,9 @@ _COMMANDS = {
     "analyze": (cmd_analyze, True),
     "prune": (cmd_prune, True),
     "finetune": (cmd_finetune, True),
-    "eval": (cmd_eval, True),
+    "eval": (functools.partial(cmd_report, report="eval_report.json"), True),
     "bench": (cmd_bench, True),
-    "transfer": (cmd_transfer, True),
+    "transfer": (functools.partial(cmd_report, report="transfer_report.json"), True),
 }
 
 

@@ -27,6 +27,24 @@ NORM_EPS = 1e-5
 NEG_INF = -1e30
 
 
+SIZE_KEYS = ("layers", "heads", "d_model", "d_ffn", "patch_len", "context_len", "horizon")
+
+
+def config_problems(d: dict) -> list[str]:
+    """Every out-of-range value of a model section; mistyped keys are skipped."""
+    sizes = {k: d[k] for k in SIZE_KEYS
+             if isinstance(d.get(k), int) and not isinstance(d[k], bool)}
+    out = [f"model.{k}: must be positive, got {v}" for k, v in sizes.items() if v <= 0]
+    for key, div in (("d_model", "heads"), ("context_len", "patch_len")):
+        if sizes.get(key, 0) > 0 and sizes.get(div, 0) > 0 and sizes[key] % sizes[div]:
+            out.append(f"model.{key}: {sizes[key]} is not divisible by {div}={sizes[div]}")
+    for key, kinds in (("norm", NORM_KINDS), ("activation", ACTIVATIONS),
+                       ("attention", ATTENTION_STYLES)):
+        if isinstance(d.get(key), str) and d[key] not in kinds:
+            out.append(f"model.{key}: must be one of {kinds}, got {d[key]!r}")
+    return out
+
+
 @dataclass
 class ForecasterConfig:
     layers: int
@@ -41,17 +59,9 @@ class ForecasterConfig:
     attention: str = "bidirectional"
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model={self.d_model} not divisible by heads={self.heads}")
-        if self.context_len % self.patch_len != 0:
-            raise ValueError(f"context_len={self.context_len} not divisible by "
-                             f"patch_len={self.patch_len}")
-        if self.norm not in NORM_KINDS:
-            raise ValueError(f"norm must be one of {NORM_KINDS}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.attention not in ATTENTION_STYLES:
-            raise ValueError(f"attention must be one of {ATTENTION_STYLES}")
+        problems = config_problems(self.to_dict())
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def tokens(self) -> int:
@@ -203,6 +213,7 @@ class Block:
         self.ffn_down = MaskedLinear(f"{prefix}.ffn.down",
                                      rng.normal(0, 1.0 / math.sqrt(cfg.d_ffn), (cfg.d_ffn, d)),
                                      np.zeros(d))
+        self.linears = (self.wq, self.wk, self.wv, self.wo, self.ffn_up, self.ffn_down)
 
 
 class AnalysisCapture:
@@ -219,12 +230,10 @@ class ForwardPass:
     """Everything one forward produced: predictions, leaves, captures."""
 
     def __init__(self, pred_norm: Tensor, mu: np.ndarray, sigma: np.ndarray,
-                 tokens: np.ndarray, ctx: ForwardContext,
-                 analysis: AnalysisCapture | None):
+                 ctx: ForwardContext, analysis: AnalysisCapture | None):
         self.pred_norm = pred_norm
         self.mu = mu
         self.sigma = sigma
-        self.tokens = tokens
         self.ctx = ctx
         self.analysis = analysis
 
@@ -236,7 +245,87 @@ class ForwardPass:
         return (np.atleast_2d(np.asarray(targets, dtype=np.float64)) - self.mu) / self.sigma
 
 
-class Forecaster:
+class ForecasterBase:
+    """The forward skeleton shared by the masked model and its sliced twin.
+
+    A subclass holds ``cfg``, ``embed``, ``blocks`` and ``head``; each block
+    holds ``norm1``, ``norm2`` and its six linear layers in ``linears``, and
+    every linear layer has ``forward(x, ctx)``. The subclass supplies only
+    the attention core (``mha_forward``) and the FFN core (``ffn_forward``),
+    each mapping a normalized (B, T, d) input to the block's residual update.
+    """
+
+    def linears(self) -> list:
+        """Every linear layer: embed, per block Q, K, V, O, FFN up, FFN down, head."""
+        return [self.embed, *(layer for b in self.blocks for layer in b.linears), self.head]
+
+    def norms(self) -> list[NormParams]:
+        return [norm for b in self.blocks for norm in (b.norm1, b.norm2)]
+
+    def named_params(self) -> list[tuple[str, np.ndarray]]:
+        """Mutable parameter arrays, deterministic order; masks excluded."""
+        out = []
+        for layer in self.linears():
+            out.append((f"{layer.layer_id}.w", layer.w))
+            if layer.b is not None:
+                out.append((f"{layer.layer_id}.b", layer.b))
+        for norm in self.norms():
+            out.append((f"{norm.name}.gain", norm.gain))
+            if norm.offset is not None:
+                out.append((f"{norm.name}.offset", norm.offset))
+        return out
+
+    def normalize_windows(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-window instance normalization with a std floor."""
+        windows = np.asarray(windows, dtype=np.float64)
+        mu = windows.mean(axis=-1, keepdims=True)
+        sigma = np.maximum(windows.std(axis=-1, keepdims=True), STD_FLOOR)
+        return (windows - mu) / sigma, mu, sigma
+
+    def _forward(self, windows: np.ndarray, ctx: ForwardContext,
+                 cap: AnalysisCapture | None) -> ForwardPass:
+        """Forward a (B, L) batch of context windows; see ``forward_batch``."""
+        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+        cfg = self.cfg
+        if windows.shape[-1] != cfg.context_len:
+            raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
+        norm_w, mu, sigma = self.normalize_windows(windows)
+        x = ad.constant(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
+        x = self.embed.forward(x, ctx)
+
+        causal = None
+        if cfg.attention == "causal":
+            t = cfg.tokens
+            causal = np.triu(np.full((t, t), NEG_INF), k=1)
+
+        for block in self.blocks:
+            if cap is not None:
+                cap.residuals.append(x.data.copy())
+            x = ad.add(x, self.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal, cap))
+            if cap is not None:
+                cap.post_attn.append(x.data.copy())
+            x = ad.add(x, self.ffn_forward(block, block.norm2.forward(x, ctx), ctx, cap))
+
+        pred = self.head.forward(ad.take_token(x, cfg.tokens - 1), ctx)
+        return ForwardPass(pred, mu, sigma, ctx, cap)
+
+    def _activation(self, x: Tensor) -> Tensor:
+        return ad.relu(x) if self.cfg.activation == "relu" else ad.gelu(x)
+
+    def predict(self, windows: np.ndarray) -> np.ndarray:
+        """De-normalized (B, Hz) predictions, no gradients."""
+        fp = self.forward_batch(windows)
+        return fp.denormalized()
+
+    def forward_window(self, window: np.ndarray) -> np.ndarray:
+        """Forecast the next horizon values for a single length-L window."""
+        window = np.asarray(window, dtype=np.float64)
+        if window.ndim != 1:
+            raise ShapeError(f"expected a 1-D window, got shape {window.shape}")
+        return self.predict(window[None, :])[0]
+
+
+class Forecaster(ForecasterBase):
     """Stack of pre-norm transformer blocks over patch tokens."""
 
     def __init__(self, cfg: ForecasterConfig, seed: int = 0):
@@ -255,61 +344,28 @@ class Forecaster:
 
     # ------------------------------------------------------------------ layout
 
-    def masked_linears(self) -> list[MaskedLinear]:
-        layers = [self.embed]
-        for b in self.blocks:
-            layers.extend([b.wq, b.wk, b.wv, b.wo, b.ffn_up, b.ffn_down])
-        layers.append(self.head)
-        return layers
-
     def layer_by_id(self, layer_id: str) -> MaskedLinear:
-        for layer in self.masked_linears():
+        for layer in self.linears():
             if layer.layer_id == layer_id:
                 return layer
         raise KeyError(layer_id)
-
-    def norms(self) -> list[NormParams]:
-        out = []
-        for b in self.blocks:
-            out.extend([b.norm1, b.norm2])
-        return out
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        """Mutable parameter arrays, deterministic order; masks excluded."""
-        out = []
-        for layer in self.masked_linears():
-            out.append((f"{layer.layer_id}.w", layer.w))
-            if layer.b is not None:
-                out.append((f"{layer.layer_id}.b", layer.b))
-        for norm in self.norms():
-            out.append((f"{norm.name}.gain", norm.gain))
-            if norm.offset is not None:
-                out.append((f"{norm.name}.offset", norm.offset))
-        return out
 
     def head_group(self, head: int) -> slice:
         d_h = self.cfg.head_dim
         return slice(head * d_h, (head + 1) * d_h)
 
     def total_param_count(self) -> int:
-        n = sum(l.total_weights() for l in self.masked_linears())
+        n = sum(l.total_weights() for l in self.linears())
         return n + sum(norm.param_count() for norm in self.norms())
 
     def surviving_param_count(self) -> int:
-        n = sum(l.surviving_weights() for l in self.masked_linears())
+        n = sum(l.surviving_weights() for l in self.linears())
         return n + sum(norm.param_count() for norm in self.norms())
 
     def param_fraction(self) -> float:
         return self.surviving_param_count() / self.total_param_count()
 
     # ----------------------------------------------------------------- forward
-
-    def normalize_windows(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-window instance normalization with a std floor."""
-        windows = np.asarray(windows, dtype=np.float64)
-        mu = windows.mean(axis=-1, keepdims=True)
-        sigma = np.maximum(windows.std(axis=-1, keepdims=True), STD_FLOOR)
-        return (windows - mu) / sigma, mu, sigma
 
     def forward_batch(self, windows: np.ndarray, tape: Tape | None = None,
                       capture_grads: bool = False,
@@ -319,32 +375,8 @@ class Forecaster:
         Returns normalized-scale predictions; de-normalization stats ride
         along. With a tape, every parameter and mask becomes a watched leaf.
         """
-        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-        cfg = self.cfg
-        if windows.shape[-1] != cfg.context_len:
-            raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
-        norm_w, mu, sigma = self.normalize_windows(windows)
-
-        ctx = ForwardContext(tape, capture_grads)
-        cap = AnalysisCapture() if analysis else None
-        b = windows.shape[0]
-        x = ad.constant(norm_w.reshape(b, cfg.tokens, cfg.patch_len))
-        x = self.embed.forward(x, ctx)
-
-        causal = None
-        if cfg.attention == "causal":
-            t = cfg.tokens
-            causal = np.triu(np.full((t, t), NEG_INF), k=1)
-
-        for block in self.blocks:
-            if cap is not None:
-                cap.residuals.append(x.data.copy())
-            x = self._attention(block, x, ctx, causal, cap)
-            x = self._ffn(block, x, ctx, cap)
-
-        last = ad.take_token(x, cfg.tokens - 1)
-        pred = self.head.forward(last, ctx)
-        return ForwardPass(pred, mu, sigma, x.data, ctx, cap)
+        return self._forward(windows, ForwardContext(tape, capture_grads),
+                             AnalysisCapture() if analysis else None)
 
     def mha_forward(self, block: Block, x: Tensor,
                     ctx: ForwardContext | None = None,
@@ -380,14 +412,6 @@ class Forecaster:
         merged = ad.reshape(ad.swap_axes(contexts, -3, -2), lead + (t, cfg.d_model))
         return block.wo.forward(merged, ctx)
 
-    def _attention(self, block: Block, x: Tensor, ctx: ForwardContext,
-                   causal: np.ndarray | None, cap: AnalysisCapture | None) -> Tensor:
-        xn = block.norm1.forward(x, ctx)
-        out = ad.add(x, self.mha_forward(block, xn, ctx, causal, cap))
-        if cap is not None:
-            cap.post_attn.append(out.data.copy())
-        return out
-
     def _head_outputs(self, block: Block, contexts: np.ndarray) -> np.ndarray:
         """Per-head contributions o_i to the residual, masks applied.
 
@@ -401,27 +425,12 @@ class Forecaster:
             outs.append((ci @ block.wo.w[g, :]) * block.wo.m_out)
         return np.stack(outs)
 
-    def _ffn(self, block: Block, x: Tensor, ctx: ForwardContext,
-             cap: AnalysisCapture | None) -> Tensor:
-        xn = block.norm2.forward(x, ctx)
-        up = block.ffn_up.forward(xn, ctx)
-        act = ad.relu(up) if self.cfg.activation == "relu" else ad.gelu(up)
+    def ffn_forward(self, block: Block, xn: Tensor, ctx: ForwardContext,
+                    cap: AnalysisCapture | None) -> Tensor:
+        act = self._activation(block.ffn_up.forward(xn, ctx))
         if cap is not None:
             cap.activations.append(act.data.copy())
-        down = block.ffn_down.forward(act, ctx)
-        return ad.add(x, down)
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """De-normalized (B, Hz) predictions, no gradients."""
-        fp = self.forward_batch(windows)
-        return fp.denormalized()
-
-    def forward_window(self, window: np.ndarray) -> np.ndarray:
-        """Forecast the next horizon values for a single length-L window."""
-        window = np.asarray(window, dtype=np.float64)
-        if window.ndim != 1:
-            raise ShapeError(f"expected a 1-D window, got shape {window.shape}")
-        return self.predict(window[None, :])[0]
+        return block.ffn_down.forward(act, ctx)
 
     # ------------------------------------------------------------------- misc
 
@@ -430,7 +439,7 @@ class Forecaster:
             dst[...] = src
 
     def copy_masks_from(self, other: "Forecaster") -> None:
-        for dst, src in zip(self.masked_linears(), other.masked_linears()):
+        for dst, src in zip(self.linears(), other.linears()):
             dst.m_in[...] = src.m_in
             dst.m_out[...] = src.m_out
 

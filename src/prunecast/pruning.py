@@ -23,6 +23,7 @@ from .autodiff import Tape
 from .data import WindowSet
 from .errors import ConfigError
 from .model import Forecaster
+from .training import batch_loss
 
 SIDES = ("input", "output")
 
@@ -59,11 +60,11 @@ class ImportanceLedger:
     @classmethod
     def from_model(cls, model: Forecaster, alpha: float) -> "ImportanceLedger":
         refs = []
-        for layer in model.masked_linears():
+        for layer in model.linears():
             refs.extend(ChannelRef(layer.layer_id, "input", i) for i in range(layer.d_in))
             refs.extend(ChannelRef(layer.layer_id, "output", j) for j in range(layer.d_out))
         ledger = cls(refs, alpha)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             for i in np.flatnonzero(layer.m_in == 0.0):
                 ledger.alive[ledger.index[ChannelRef(layer.layer_id, "input", int(i))]] = False
             for j in np.flatnonzero(layer.m_out == 0.0):
@@ -72,12 +73,6 @@ class ImportanceLedger:
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
-
-    def score(self, ref: ChannelRef) -> float:
-        return float(self.ema[self.index[ref]])
-
-    def is_alive(self, ref: ChannelRef) -> bool:
-        return bool(self.alive[self.index[ref]])
 
     def check_invariants(self) -> None:
         if (self.ema < 0).any():
@@ -148,9 +143,6 @@ class PerSampleGrads:
         cols = [self.arrays[(r.layer_id, r.side)][:, r.index] for r in ledger.refs]
         return np.stack(cols, axis=1)
 
-    def batch_mean(self, ref: ChannelRef) -> float:
-        return float(self.vector(ref).mean())
-
 
 def per_sample_grads(model: Forecaster, contexts: np.ndarray,
                      targets: np.ndarray) -> PerSampleGrads:
@@ -170,7 +162,7 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     tape.backward(loss)
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
-    for layer in model.masked_linears():
+    for layer in model.linears():
         cap = fp.ctx.captures[layer.layer_id]
         token_axes = tuple(range(1, cap.x.data.ndim - 1))
         g_xm = tape.grads.get(cap.xm.node_id)
@@ -379,12 +371,6 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
     return pruned
 
 
-def _mean_loss(model, contexts: np.ndarray, targets: np.ndarray) -> float:
-    fp = model.forward_batch(contexts)
-    t_norm = fp.normalized_targets(targets)
-    return float(((fp.pred_norm.data - t_norm) ** 2).mean())
-
-
 def oracle_importance(model: Forecaster, windows: WindowSet | tuple,
                       ref: ChannelRef) -> float:
     """Brute-force importance: |L(mask with channel zeroed) − L(mask)|."""
@@ -394,11 +380,11 @@ def oracle_importance(model: Forecaster, windows: WindowSet | tuple,
         contexts, targets = windows
     layer = model.layer_by_id(ref.layer_id)
     mask = layer.m_in if ref.side == "input" else layer.m_out
-    base = _mean_loss(model, contexts, targets)
+    base = batch_loss(model, contexts, targets)[0]
     saved = mask[ref.index]
     mask[ref.index] = 0.0
     try:
-        flipped = _mean_loss(model, contexts, targets)
+        flipped = batch_loss(model, contexts, targets)[0]
     finally:
         mask[ref.index] = saved
     return abs(flipped - base)

@@ -8,6 +8,11 @@ scatter at the residual-facing sides. Where two sides meet in a product
 computed; entries dead on either side contribute exactly zero. A head
 whose V-output ∩ W_O-input intersection is empty is dropped from compute
 entirely.
+
+The sliced twin shares ``ForecasterBase``'s forward skeleton with the
+masked model and supplies its own attention and FFN cores. It is the only
+model that trains: ``training.finetune`` slices a masked forecaster, trains
+the twin and writes it back, so pruned coordinates never enter the tape.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ShapeError
-from .model import (AnalysisCapture, Forecaster, ForecasterConfig,
-                    ForwardContext, ForwardPass, MaskedLinear, NormParams,
-                    NEG_INF, STD_FLOOR)
+from .model import (Block, Forecaster, ForecasterBase, ForecasterConfig,
+                    ForwardContext, ForwardPass, MaskedLinear, NormParams)
 
 
 def _binary_or_raise(layer: MaskedLinear) -> None:
@@ -40,10 +43,6 @@ def _positions(universe: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.searchsorted(universe, wanted).astype(np.intp)
 
 
-def _gather_rows(w: Tensor, pos: np.ndarray) -> Tensor:
-    return ad.transpose_last2(ad.gather_last(ad.transpose_last2(w), pos))
-
-
 class SlicedLinear:
     """Compact storage of one masked layer: only surviving entries remain."""
 
@@ -57,25 +56,27 @@ class SlicedLinear:
         self.w = layer.w[np.ix_(self.in_idx, self.out_idx)].copy()
         self.b = None if layer.b is None else layer.b[self.out_idx].copy()
 
-    @property
-    def in_full(self) -> bool:
-        return self.in_idx.size == self.d_in_full
-
-    @property
-    def out_full(self) -> bool:
-        return self.out_idx.size == self.d_out_full
-
     def gather_input(self, x: Tensor) -> Tensor:
-        return x if self.in_full else ad.gather_last(x, self.in_idx)
+        return x if self.in_idx.size == self.d_in_full else ad.gather_last(x, self.in_idx)
 
-    def affine(self, xg: Tensor, ctx: ForwardContext) -> Tensor:
-        y = ad.matmul(xg, ctx.lift(f"{self.layer_id}.w", self.w))
-        if self.b is not None:
-            y = ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
-        return y
+    def affine(self, xg: Tensor, ctx: ForwardContext, rows: np.ndarray | None = None) -> Tensor:
+        """xg·W (+ b); ``rows`` picks the rows of W that xg's columns meet."""
+        w = ctx.lift(f"{self.layer_id}.w", self.w)
+        if rows is not None and rows.size != self.in_idx.size:
+            w = ad.transpose_last2(ad.gather_last(ad.transpose_last2(w), rows))
+        return self.add_bias(ad.matmul(xg, w), ctx)
+
+    def add_bias(self, y: Tensor, ctx: ForwardContext) -> Tensor:
+        return y if self.b is None else ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
 
     def scatter_output(self, y: Tensor) -> Tensor:
-        return y if self.out_full else ad.scatter_last(y, self.out_idx, self.d_out_full)
+        if self.out_idx.size == self.d_out_full:
+            return y
+        return ad.scatter_last(y, self.out_idx, self.d_out_full)
+
+    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+        """Full-width in, full-width out: gather, compact affine, scatter."""
+        return self.scatter_output(self.affine(self.gather_input(x), ctx))
 
     def stored_weights(self) -> int:
         return self.w.size + (0 if self.b is None else self.b.size)
@@ -107,13 +108,14 @@ class _HeadPlan:
 
 
 class SlicedBlock:
-    def __init__(self, block, cfg: ForecasterConfig):
+    def __init__(self, block: Block, cfg: ForecasterConfig):
         self.q = SlicedLinear(block.wq)
         self.k = SlicedLinear(block.wk)
         self.v = SlicedLinear(block.wv)
         self.o = SlicedLinear(block.wo)
         self.up = SlicedLinear(block.ffn_up)
         self.down = SlicedLinear(block.ffn_down)
+        self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
         self.norm1 = _copy_norm(block.norm1)
         self.norm2 = _copy_norm(block.norm2)
         d_h = cfg.head_dim
@@ -125,6 +127,12 @@ class SlicedBlock:
         self.mid_down_pos = _positions(self.down.in_idx, mid)
 
 
+def _bias_only(layer: SlicedLinear, x: Tensor, ctx: ForwardContext) -> Tensor:
+    """The output of a layer none of whose inputs survive: its bias alone."""
+    zeros = ad.constant(np.zeros(x.shape[:-1] + (layer.out_idx.size,)))
+    return layer.scatter_output(layer.add_bias(zeros, ctx))
+
+
 def _copy_norm(norm: NormParams) -> NormParams:
     twin = NormParams(norm.name, norm.kind, norm.gain.size, norm.eps)
     twin.gain = norm.gain.copy()
@@ -133,47 +141,22 @@ def _copy_norm(norm: NormParams) -> NormParams:
     return twin
 
 
-class SlicedForecaster:
-    """Compact twin of a masked forecaster; forward skips pruned compute."""
+class SlicedForecaster(ForecasterBase):
+    """Compact twin of a masked forecaster; forward skips pruned compute.
+
+    It is the model that training runs: ``training.finetune`` slices a
+    masked forecaster, trains this twin and writes the result back.
+    """
 
     def __init__(self, model: Forecaster):
         self.cfg = model.cfg
         self.embed = SlicedLinear(model.embed)
         self.blocks = [SlicedBlock(b, model.cfg) for b in model.blocks]
         self.head = SlicedLinear(model.head)
-        self.index_maps = index_maps(model)
-        self._surviving = model.surviving_param_count()
         self._total = model.total_param_count()
 
-    # ------------------------------------------------------------------ layout
-
-    def sliced_linears(self) -> list[SlicedLinear]:
-        layers = [self.embed]
-        for b in self.blocks:
-            layers.extend([b.q, b.k, b.v, b.o, b.up, b.down])
-        layers.append(self.head)
-        return layers
-
-    def norms(self) -> list[NormParams]:
-        out = []
-        for b in self.blocks:
-            out.extend([b.norm1, b.norm2])
-        return out
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for layer in self.sliced_linears():
-            out.append((f"{layer.layer_id}.w", layer.w))
-            if layer.b is not None:
-                out.append((f"{layer.layer_id}.b", layer.b))
-        for norm in self.norms():
-            out.append((f"{norm.name}.gain", norm.gain))
-            if norm.offset is not None:
-                out.append((f"{norm.name}.offset", norm.offset))
-        return out
-
     def param_count(self) -> int:
-        n = sum(l.stored_weights() for l in self.sliced_linears())
+        n = sum(l.stored_weights() for l in self.linears())
         return n + sum(norm.param_count() for norm in self.norms())
 
     def param_fraction(self) -> float:
@@ -181,119 +164,51 @@ class SlicedForecaster:
 
     def write_back(self, model: Forecaster) -> None:
         """Copy trained compact weights into the full-size master model."""
-        for compact, master in zip(self.sliced_linears(), model.masked_linears()):
+        for compact, master in zip(self.linears(), model.linears()):
             compact.write_back(master)
         for twin, master in zip(self.norms(), model.norms()):
             master.gain[...] = twin.gain
             if master.offset is not None:
                 master.offset[...] = twin.offset
 
-    # ----------------------------------------------------------------- forward
+    def forward_batch(self, windows: np.ndarray, tape: Tape | None = None) -> ForwardPass:
+        """Forward a (B, L) batch of context windows through the compact weights."""
+        return self._forward(windows, ForwardContext(tape), None)
 
-    def forward_batch(self, windows: np.ndarray, tape: Tape | None = None,
-                      analysis: bool = False) -> ForwardPass:
-        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-        cfg = self.cfg
-        if windows.shape[-1] != cfg.context_len:
-            raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
-        mu = windows.mean(axis=-1, keepdims=True)
-        sigma = np.maximum(windows.std(axis=-1, keepdims=True), STD_FLOOR)
-        norm_w = (windows - mu) / sigma
-
-        ctx = ForwardContext(tape)
-        cap = AnalysisCapture() if analysis else None
-        bsz = windows.shape[0]
-        x = ad.constant(norm_w.reshape(bsz, cfg.tokens, cfg.patch_len))
-        x = self.embed.scatter_output(
-            self.embed.affine(self.embed.gather_input(x), ctx))
-
-        causal = None
-        if cfg.attention == "causal":
-            t = cfg.tokens
-            causal = np.triu(np.full((t, t), NEG_INF), k=1)
-
-        for block in self.blocks:
-            if cap is not None:
-                cap.residuals.append(x.data.copy())
-            x = self._attention(block, x, ctx, causal, cap)
-            x = self._ffn(block, x, ctx, cap)
-
-        last = ad.take_token(x, cfg.tokens - 1)
-        pred = self.head.scatter_output(
-            self.head.affine(self.head.gather_input(last), ctx))
-        return ForwardPass(pred, mu, sigma, x.data, ctx, cap)
-
-    def _attention(self, block: SlicedBlock, x: Tensor, ctx: ForwardContext,
-                   causal: np.ndarray | None, cap) -> Tensor:
-        cfg = self.cfg
-        xn = block.norm1.forward(x, ctx)
+    def mha_forward(self, block: SlicedBlock, xn: Tensor, ctx: ForwardContext,
+                    causal: np.ndarray | None, cap: None) -> Tensor:
+        """Attention over live heads only, each at its surviving widths."""
         alive = [h for h in block.heads if h.alive]
-        bsz, t = x.shape[0], cfg.tokens
+        if not alive:
+            return _bias_only(block.o, xn, ctx)
+        q_c = block.q.affine(block.q.gather_input(xn), ctx)
+        k_c = block.k.affine(block.k.gather_input(xn), ctx)
+        v_c = block.v.affine(block.v.gather_input(xn), ctx)
+        inv_scale = 1.0 / math.sqrt(self.cfg.head_dim)
+        contexts = []
+        for plan in alive:
+            if plan.scored:
+                qi = ad.gather_last(q_c, plan.q_pos)
+                ki = ad.gather_last(k_c, plan.k_pos)
+                scores = ad.scale(ad.matmul(qi, ad.transpose_last2(ki)), inv_scale)
+            else:
+                scores = ad.constant(np.zeros(xn.shape[:-1] + (xn.shape[-2],)))
+            if causal is not None:
+                scores = ad.add(scores, ad.constant(causal))
+            attn = ad.softmax_rows(scores)
+            contexts.append(ad.matmul(attn, ad.gather_last(v_c, plan.v_pos)))
+        rows = np.concatenate([p.o_pos for p in alive])
+        return block.o.scatter_output(block.o.affine(ad.concat_last(contexts), ctx, rows))
 
-        if alive:
-            q_c = block.q.affine(block.q.gather_input(xn), ctx)
-            k_c = block.k.affine(block.k.gather_input(xn), ctx)
-            v_c = block.v.affine(block.v.gather_input(xn), ctx)
-            inv_scale = 1.0 / math.sqrt(cfg.head_dim)
-            contexts = []
-            for plan in alive:
-                if plan.scored:
-                    qi = ad.gather_last(q_c, plan.q_pos)
-                    ki = ad.gather_last(k_c, plan.k_pos)
-                    scores = ad.scale(ad.matmul(qi, ad.transpose_last2(ki)), inv_scale)
-                else:
-                    scores = ad.constant(np.zeros((bsz, t, t)))
-                if causal is not None:
-                    scores = ad.add(scores, ad.constant(causal))
-                attn = ad.softmax_rows(scores)
-                contexts.append(ad.matmul(attn, ad.gather_last(v_c, plan.v_pos)))
-            ctx_cat = ad.concat_last(contexts)
-            row_pos = np.concatenate([p.o_pos for p in alive])
-            w_o = ctx.lift(f"{block.o.layer_id}.w", block.o.w)
-            if row_pos.size != block.o.in_idx.size:
-                w_o = _gather_rows(w_o, row_pos)
-            inner = ad.matmul(ctx_cat, w_o)
-            if block.o.b is not None:
-                inner = ad.add(inner, ctx.lift(f"{block.o.layer_id}.b", block.o.b))
-        else:
-            inner = ad.constant(np.zeros((bsz, t, block.o.out_idx.size)))
-            if block.o.b is not None:
-                inner = ad.add(inner, ctx.lift(f"{block.o.layer_id}.b", block.o.b))
-
-        out = ad.add(x, block.o.scatter_output(inner))
-        if cap is not None:
-            cap.post_attn.append(out.data.copy())
-        return out
-
-    def _ffn(self, block: SlicedBlock, x: Tensor, ctx: ForwardContext, cap) -> Tensor:
-        xn = block.norm2.forward(x, ctx)
-        if block.mid_up_pos.size:
-            up = block.up.affine(block.up.gather_input(xn), ctx)
-            act = ad.relu(up) if self.cfg.activation == "relu" else ad.gelu(up)
-            if cap is not None:
-                cap.activations.append(act.data.copy())
-            if block.mid_up_pos.size != block.up.out_idx.size:
-                act = ad.gather_last(act, block.mid_up_pos)
-            w_d = ctx.lift(f"{block.down.layer_id}.w", block.down.w)
-            if block.mid_down_pos.size != block.down.in_idx.size:
-                w_d = _gather_rows(w_d, block.mid_down_pos)
-            inner = ad.matmul(act, w_d)
-        else:
-            bsz, t = x.shape[0], self.cfg.tokens
-            inner = ad.constant(np.zeros((bsz, t, block.down.out_idx.size)))
-        if block.down.b is not None:
-            inner = ad.add(inner, ctx.lift(f"{block.down.layer_id}.b", block.down.b))
-        return ad.add(x, block.down.scatter_output(inner))
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        fp = self.forward_batch(windows)
-        return fp.denormalized()
-
-    def forward_window(self, window: np.ndarray) -> np.ndarray:
-        window = np.asarray(window, dtype=np.float64)
-        if window.ndim != 1:
-            raise ShapeError(f"expected a 1-D window, got shape {window.shape}")
-        return self.predict(window[None, :])[0]
+    def ffn_forward(self, block: SlicedBlock, xn: Tensor, ctx: ForwardContext,
+                    cap: None) -> Tensor:
+        """FFN over the channels alive on both sides of the activation."""
+        if not block.mid_up_pos.size:
+            return _bias_only(block.down, xn, ctx)
+        act = self._activation(block.up.affine(block.up.gather_input(xn), ctx))
+        if block.mid_up_pos.size != block.up.out_idx.size:
+            act = ad.gather_last(act, block.mid_up_pos)
+        return block.down.scatter_output(block.down.affine(act, ctx, block.mid_down_pos))
 
 
 def slice_pruned(model: Forecaster) -> SlicedForecaster:
@@ -304,7 +219,7 @@ def slice_pruned(model: Forecaster) -> SlicedForecaster:
 def index_maps(model: Forecaster) -> dict:
     """Surviving-channel index maps per layer, derived from the binary masks."""
     out = {}
-    for layer in model.masked_linears():
+    for layer in model.linears():
         _binary_or_raise(layer)
         out[layer.layer_id] = {"in": _alive(layer.m_in).tolist(),
                                "out": _alive(layer.m_out).tolist()}

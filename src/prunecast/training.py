@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import slicing
 from .autodiff import Tape
 from .data import WindowSet
 from .errors import ConfigError, TrainingDivergedError
@@ -99,23 +100,6 @@ def make_optimizer(cfg: TrainConfig):
     return Sgd(cfg.lr) if cfg.optimizer == "sgd" else Adam(cfg.lr)
 
 
-def _freeze_gradients(model, grads: dict[str, np.ndarray],
-                      update_norm_params: bool) -> None:
-    """Zero gradients of masked weight coordinates (and norms when frozen)."""
-    if isinstance(model, Forecaster):
-        for layer in model.masked_linears():
-            gw = grads.get(f"{layer.layer_id}.w")
-            if gw is not None:
-                gw *= np.outer(layer.m_in, layer.m_out)
-            gb = grads.get(f"{layer.layer_id}.b")
-            if gb is not None:
-                gb *= layer.m_out
-    if not update_norm_params:
-        for name in grads:
-            if name.endswith(".gain") or name.endswith(".offset"):
-                grads[name][...] = 0.0
-
-
 def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm > 0:
@@ -145,18 +129,21 @@ def _restore(model, snap: dict[str, np.ndarray]) -> None:
 
 def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
              cfg: TrainConfig):
-    """Train surviving parameters; return the best-validation snapshot.
+    """Train surviving parameters; return the model at its best-validation snapshot.
 
-    Works on a masked Forecaster (masked gradient coordinates are zeroed
-    after backward) or directly on a SlicedForecaster, which simply has no
-    pruned coordinates to protect.
+    Training always runs the sliced forward. A SlicedForecaster is trained
+    as is. A masked Forecaster is sliced first; its twin is trained,
+    restored to its best snapshot and written back, so only surviving
+    coordinates change and pruned ones keep their bits. With
+    ``update_norm_params`` off the norm gains and offsets stay frozen.
     """
+    net = slicing.slice_pruned(model) if isinstance(model, Forecaster) else model
     optimizer = make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_windows)
     history: list[dict] = []
     best_val = math.inf
-    best_snap = _snapshot(model)
+    best_snap = _snapshot(net)
     bad_epochs = 0
 
     for epoch in range(cfg.max_epochs):
@@ -165,7 +152,7 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
         for b in range(0, n, cfg.batch_size):
             idx = order[b:b + cfg.batch_size]
             tape = Tape()
-            loss, fp = batch_loss(model, train_windows.contexts[idx],
+            loss, fp = batch_loss(net, train_windows.contexts[idx],
                                   train_windows.targets[idx], tape=tape)
             if not math.isfinite(loss.item()):
                 raise TrainingDivergedError(
@@ -174,24 +161,29 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
             tape.backward(loss)
             grads = {name: tape.grad(leaf)
                      for name, leaf in fp.ctx.param_leaves.items()}
-            _freeze_gradients(model, grads, cfg.update_norm_params)
+            if not cfg.update_norm_params:
+                for name, g in grads.items():
+                    if name.endswith((".gain", ".offset")):
+                        g[...] = 0.0
             _clip_global_norm(grads, cfg.clip_norm)
-            optimizer.step(model.named_params(), grads)
+            optimizer.step(net.named_params(), grads)
             losses.append(loss.item())
 
-        val_mse = evaluate(model, val_windows).mse
+        val_mse = evaluate(net, val_windows).mse
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse
-            best_snap = _snapshot(model)
+            best_snap = _snapshot(net)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    _restore(model, best_snap)
+    _restore(net, best_snap)
+    if net is not model:
+        net.write_back(model)
     return model, history
 
 

@@ -77,7 +77,7 @@ def test_01_gradient_correctness():
 
         for name, arr in model.named_params():
             fd_sweep(arr, tape.grad(fp.ctx.param_leaves[name]), name)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             m_in_leaf, m_out_leaf = fp.ctx.mask_leaves[layer.layer_id]
             fd_sweep(layer.m_in, tape.grad(m_in_leaf), f"{layer.layer_id}.m_in")
             fd_sweep(layer.m_out, tape.grad(m_out_leaf), f"{layer.layer_id}.m_out")

@@ -110,7 +110,7 @@ class TestThresholdsAndCdf:
 
     def test_identical_magnitudes_jump_at_one(self):
         model = Forecaster(tiny_config(layers=1), seed=0)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             layer.w[...] = np.where(layer.w >= 0, 0.7, -0.7)
         t, f = magnitude_cdf(model, "element")
         assert f[-1] == 1.0          # at threshold 1.0 everything is included

@@ -46,7 +46,7 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(pruned_model, str(path))
         loaded = load_checkpoint(str(path))
-        for a, b in zip(pruned_model.masked_linears(), loaded.masked_linears()):
+        for a, b in zip(pruned_model.linears(), loaded.linears()):
             np.testing.assert_array_equal(a.m_in, b.m_in)
             np.testing.assert_array_equal(a.m_out, b.m_out)
         assert isinstance(loaded.ledger, ImportanceLedger)

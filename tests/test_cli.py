@@ -63,6 +63,28 @@ class TestConfigValidation:
         d = validate_config(base_config(tmp_path, seed=4))
         assert config_hash(a) != config_hash(d)
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("heads", 0, "model.heads: must be positive"),
+        ("layers", -1, "model.layers: must be positive"),
+        ("d_model", 18, "model.d_model: 18 is not divisible by heads=4"),
+        ("context_len", 18, "model.context_len: 18 is not divisible by patch_len=4"),
+        ("norm", "batchnorm", "model.norm: must be one of"),
+        ("activation", "tanh", "model.activation: must be one of"),
+        ("attention", "sparse", "model.attention: must be one of"),
+    ], ids=["heads-zero", "layers-negative", "d_model-heads", "context-patch",
+            "norm", "activation", "attention"])
+    def test_bad_model_section_fails_closed(self, tmp_path, capsys, key, value, needle):
+        cfg = base_config(tmp_path / "out", seed="three")
+        cfg["model"]["heads"] = 4
+        cfg["model"][key] = value
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert needle in err
+        assert "seed: expected an int" in err  # reported together with the rest
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
@@ -151,6 +173,27 @@ class TestCommands:
             "--out", str(tmp_path))
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert "speedup" in timings and timings["speedup"] > 0
+
+    def test_both_train_modes_run_the_same_training(self, pipeline, tmp_path):
+        root, cfg_path, ckpt = pipeline
+        run("prune", "--config", cfg_path, "--checkpoint", ckpt,
+            "--out", str(tmp_path / "p"))
+        pruned = str(tmp_path / "p" / "pruned_alpha0.5.ckpt")
+        outs = {}
+        for mode in ("sliced", "masked"):
+            cfg = json.loads((root / "cfg.json").read_text())
+            cfg["train"]["mode"] = mode
+            cfg["train"]["max_epochs"] = 2
+            mode_cfg = write_config(tmp_path, cfg, f"{mode}.json")
+            outs[mode] = tmp_path / mode
+            run("finetune", "--config", mode_cfg, "--checkpoint", pruned,
+                "--out", str(outs[mode]))
+        assert (outs["sliced"] / "finetuned.ckpt").read_bytes() == \
+               (outs["masked"] / "finetuned.ckpt").read_bytes()
+        histories = [json.loads((outs[m] / "finetune_history.json").read_text())
+                     for m in ("sliced", "masked")]
+        assert histories[0]["history"] == histories[1]["history"]
+        assert [h["mode"] for h in histories] == ["sliced", "masked"]
 
     def test_transfer_on_sibling_task(self, pipeline, tmp_path):
         root, cfg_path, ckpt = pipeline

@@ -192,8 +192,10 @@ class TestAttention:
 
         def run(inp):
             ctx = ForwardContext()
-            h = model._attention(block, ad.constant(inp), ctx, causal, None)
-            return model._ffn(block, h, ctx, None).data
+            x = ad.constant(inp)
+            h = ad.add(x, model.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal))
+            return ad.add(h, model.ffn_forward(block, block.norm2.forward(h, ctx),
+                                               ctx, None)).data
 
         np.testing.assert_array_equal(run(x)[0, :4], run(y)[0, :4])
 

@@ -103,7 +103,7 @@ class TestPerSampleGrads:
         model.head.w[...] = 0.0
         ws = small_windows(model, 3, rng)
         grads = per_sample_grads(model, ws.contexts, ws.targets)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             if layer.layer_id == "head":
                 continue
             assert np.abs(grads.arrays[(layer.layer_id, "input")]).max() == 0.0
@@ -119,7 +119,7 @@ class TestPerSampleGrads:
         tape.backward(loss)
 
         grads = per_sample_grads(model, ws.contexts, ws.targets)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             m_in_leaf, m_out_leaf = fp.ctx.mask_leaves[layer.layer_id]
             manual_in = grads.arrays[(layer.layer_id, "input")].mean(axis=0)
             manual_out = grads.arrays[(layer.layer_id, "output")].mean(axis=0)
@@ -196,7 +196,7 @@ class TestEmaAndPruneStep:
         model = Forecaster(tiny_config(layers=1), seed=0)
         ledger = ImportanceLedger.from_model(model, alpha=0.5)
         assert prune_step(ledger, model, 0) == []
-        assert all(l.m_in.all() and l.m_out.all() for l in model.masked_linears())
+        assert all(l.m_in.all() and l.m_out.all() for l in model.linears())
 
     def test_prune_step_matches_sort_oracle(self, rng):
         model = Forecaster(tiny_config(layers=1), seed=1)
@@ -226,7 +226,7 @@ class TestProgressive:
         schedule = PruneSchedule(ratio_per_epoch=0.0, epochs=1, batch_size=64)
         ledger, trace = progressive_prune(model, ws, schedule, alpha=0.5)
         assert trace.pruned_refs() == []
-        assert all(l.m_in.all() and l.m_out.all() for l in model.masked_linears())
+        assert all(l.m_in.all() and l.m_out.all() for l in model.linears())
         assert ledger.alive_count() == len(ledger.refs)
 
     def test_dead_channels_pruned_before_useful_ones(self, rng):

@@ -12,7 +12,7 @@ from test_model import tiny_config
 def brute_force_surviving(model):
     """Independent recount of surviving parameters, entry by entry."""
     n = 0
-    for layer in model.masked_linears():
+    for layer in model.linears():
         for i in range(layer.d_in):
             for j in range(layer.d_out):
                 if layer.m_in[i] == 1.0 and layer.m_out[j] == 1.0:
@@ -27,7 +27,7 @@ def brute_force_surviving(model):
 def prune_random_channels(model, fraction, rng):
     """Zero a random fraction of non-protected mask coordinates."""
     refs = []
-    for layer in model.masked_linears():
+    for layer in model.linears():
         for i in range(layer.d_in):
             if layer.layer_id != "embed":
                 refs.append((layer, "in", i))
@@ -43,11 +43,19 @@ def prune_random_channels(model, fraction, rng):
 
 class TestSlicing:
     def test_nothing_pruned_is_bit_identical(self, rng):
-        model = Forecaster(tiny_config(), seed=3)
-        sliced = slice_pruned(model)
-        windows = rng.normal(0, 1, (4, model.cfg.context_len))
-        np.testing.assert_array_equal(sliced.predict(windows), model.predict(windows))
-        assert sliced.param_count() == model.total_param_count()
+        shapes = [tiny_config(),                                  # T=6
+                  tiny_config(context_len=64),                    # d=8, 2 heads, T=16
+                  tiny_config(heads=4, d_model=32, d_ffn=64, context_len=48)]  # T=12
+        for cfg in shapes:
+            for seed in range(5):
+                model = Forecaster(cfg, seed=seed)
+                sliced = slice_pruned(model)
+                assert sliced.param_count() == model.total_param_count()
+                for batch in (1, 4):
+                    windows = rng.normal(0, 1, (batch, cfg.context_len))
+                    np.testing.assert_array_equal(
+                        sliced.predict(windows), model.predict(windows),
+                        err_msg=f"{cfg}, seed {seed}, batch {batch}")
 
     def test_empty_ffn_reduces_to_residual_passthrough(self, rng):
         model = Forecaster(tiny_config(layers=1), seed=5)
@@ -136,7 +144,7 @@ class TestSlicing:
         for _, arr in sliced.named_params():
             arr += 0.25
         sliced.write_back(model)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             dead = np.outer(layer.m_in == 0, np.ones(layer.d_out, dtype=bool)) \
                  | np.outer(np.ones(layer.d_in, dtype=bool), layer.m_out == 0)
             np.testing.assert_array_equal(layer.w[dead], frozen[f"{layer.layer_id}.w"][dead])

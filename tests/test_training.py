@@ -9,8 +9,8 @@ from prunecast.errors import ConfigError, TrainingDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
 from prunecast.pruning import PruneSchedule, progressive_prune
 from prunecast.slicing import slice_pruned
-from prunecast.training import (Sgd, TrainConfig, bench_inference, evaluate,
-                                finetune)
+from prunecast.training import (Sgd, TrainConfig, _clip_global_norm, batch_loss,
+                                bench_inference, evaluate, finetune, make_optimizer)
 
 from test_model import tiny_config
 from test_pruning import training_windows
@@ -20,6 +20,50 @@ def split_windows(ws, n_val):
     n = len(ws)
     idx = np.arange(n)
     return ws.subset(idx[:-n_val]), ws.subset(idx[-n_val:])
+
+
+def masked_tape_finetune(model, train, val, cfg):
+    """Reference trainer on the masked tape forward: the gradients of pruned
+    coordinates are zeroed after backward, and the model itself is trained,
+    snapshotted and restored. ``finetune`` trains the sliced twin instead and
+    must agree with this loop."""
+    optimizer = make_optimizer(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    history, best_val, bad_epochs = [], np.inf, 0
+    best = {name: arr.copy() for name, arr in model.named_params()}
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(train))
+        losses = []
+        for b in range(0, len(train), cfg.batch_size):
+            idx = order[b:b + cfg.batch_size]
+            tape = ad.Tape()
+            loss, fp = batch_loss(model, train.contexts[idx], train.targets[idx], tape=tape)
+            tape.backward(loss)
+            grads = {name: tape.grad(leaf) for name, leaf in fp.ctx.param_leaves.items()}
+            for layer in model.linears():
+                grads[f"{layer.layer_id}.w"] *= np.outer(layer.m_in, layer.m_out)
+                if layer.b is not None:
+                    grads[f"{layer.layer_id}.b"] *= layer.m_out
+            if not cfg.update_norm_params:
+                for name in grads:
+                    if name.endswith((".gain", ".offset")):
+                        grads[name][...] = 0.0
+            _clip_global_norm(grads, cfg.clip_norm)
+            optimizer.step(model.named_params(), grads)
+            losses.append(loss.item())
+        val_mse = evaluate(model, val).mse
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
+                        "val_mse": val_mse})
+        if val_mse < best_val:
+            best_val, bad_epochs = val_mse, 0
+            best = {name: arr.copy() for name, arr in model.named_params()}
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    for name, arr in model.named_params():
+        arr[...] = best[name]
+    return model, history
 
 
 class TestOptimizers:
@@ -66,7 +110,7 @@ class TestFinetune:
         progressive_prune(model, ws, schedule, alpha=0.5)
 
         dead = {}
-        for layer in model.masked_linears():
+        for layer in model.linears():
             dead[layer.layer_id] = (np.outer(layer.m_in == 0, np.ones(layer.d_out, bool))
                                     | np.outer(np.ones(layer.d_in, bool), layer.m_out == 0))
         before = {n: a.copy() for n, a in model.named_params()}
@@ -74,7 +118,7 @@ class TestFinetune:
         finetune(model, train, val, TrainConfig(lr=1e-3, batch_size=64,
                                                 max_epochs=2, patience=2, seed=2))
         changed_something = False
-        for layer in model.masked_linears():
+        for layer in model.linears():
             w0 = before[f"{layer.layer_id}.w"]
             mask = dead[layer.layer_id]
             np.testing.assert_array_equal(layer.w[mask], w0[mask])
@@ -85,6 +129,32 @@ class TestFinetune:
                 np.testing.assert_array_equal(layer.b[layer.m_out == 0],
                                               b0[layer.m_out == 0])
         assert changed_something
+
+    @pytest.mark.parametrize("overrides, train_overrides", [
+        ({}, {}),
+        ({"attention": "causal", "norm": "rmsnorm", "activation": "relu"},
+         {"optimizer": "sgd", "lr": 2e-2, "update_norm_params": False}),
+    ], ids=["default", "causal-rmsnorm-relu-sgd-frozen-norms"])
+    def test_matches_masked_tape_training(self, overrides, train_overrides):
+        model = Forecaster(tiny_config(**overrides), seed=5)
+        ws = training_windows()
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=1, batch_size=64, seed=0)
+        progressive_prune(model, ws, schedule, alpha=0.5)
+        assert model.param_fraction() < 1.0
+        reference = model.clone()
+        train, val = split_windows(ws, 40)
+        cfg = TrainConfig(**{"lr": 1e-3, "batch_size": 64, "max_epochs": 3,
+                             "patience": 2, "seed": 2, **train_overrides})
+        tuned, history = finetune(model, train, val, cfg)
+        assert tuned is model
+        _, ref_history = masked_tape_finetune(reference, train, val, cfg)
+        assert len(history) == len(ref_history)
+        for got, want in zip(history, ref_history):
+            assert got["epoch"] == want["epoch"]
+            assert abs(got["train_loss"] - want["train_loss"]) <= 1e-9
+            assert abs(got["val_mse"] - want["val_mse"]) <= 1e-9
+        for (name, got), (_, want) in zip(model.named_params(), reference.named_params()):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
 
     def test_sliced_training_writes_back_consistently(self):
         model = Forecaster(tiny_config(), seed=5)
@@ -98,7 +168,7 @@ class TestFinetune:
         finetune(sliced, train, val, TrainConfig(lr=1e-3, batch_size=64,
                                                  max_epochs=1, patience=1, seed=2))
         sliced.write_back(model)
-        for layer in model.masked_linears():
+        for layer in model.linears():
             mask = (np.outer(layer.m_in == 0, np.ones(layer.d_out, bool))
                     | np.outer(np.ones(layer.d_in, bool), layer.m_out == 0))
             np.testing.assert_array_equal(layer.w[mask],
