@@ -1,16 +1,18 @@
 """Dense f64 tensors with a reverse-mode gradient tape.
 
 The tape records every operation applied to watched tensors and, on
-``backward``, produces gradients for all reachable nodes, parameters and
-channel-mask vectors alike. Broadcasting is deliberately restricted to a
-leading batch dimension: two operands are compatible iff their shapes are
-equal or one shape is a trailing suffix of the other.
+``backward``, produces gradients for all reachable nodes: parameters,
+channel-mask vectors and interior activations alike. An op computes
+gradients only for its inputs that are on the tape. Broadcasting is
+deliberately restricted to a leading batch dimension: two operands are
+compatible iff their shapes are equal or one shape is a trailing suffix of
+the other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -59,7 +61,12 @@ class Tape:
 
     A tape supports exactly one ``backward`` call. Gradients are retained
     for every node reached by the sweep (interior activations included),
-    which is what per-sample mask-gradient extraction relies on.
+    unless ``backward`` is told which interior ones to keep; per-sample
+    mask-gradient extraction keeps the ones it reads. The sweep drops each
+    node's backward closure once it has called it, and the rest, reached or
+    not, when it ends: ``nodes`` and ``grads`` stay, the arrays the closures
+    saved are freed as the sweep goes, and the tape holds no reference
+    cycle, so it is freed as soon as the last tensor on it is.
     """
 
     def __init__(self):
@@ -79,8 +86,12 @@ class Tape:
         self.nodes.append(_Node(inputs, backward))
         return len(self.nodes) - 1
 
-    def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and sweep the tape in reverse."""
+    def backward(self, loss: Tensor, keep: Collection[int] | None = None) -> None:
+        """Seed d(loss)/d(loss)=1 and sweep the tape in reverse.
+
+        With ``keep``, the gradient of an interior node not in it is dropped
+        once the sweep has passed it on; leaf gradients are always kept.
+        """
         if loss.tape is not self or loss.node_id is None:
             raise TapeError("loss tensor is not attached to this tape")
         if loss.data.size != 1:
@@ -90,18 +101,27 @@ class Tape:
         self._backward_done = True
 
         self.grads[loss.node_id] = np.ones_like(loss.data)
-        for nid in range(loss.node_id, -1, -1):
-            g = self.grads.get(nid)
-            if g is None:
-                continue
-            node = self.nodes[nid]
-            if node.backward is None:
-                continue
-            for in_id, in_grad in zip(node.inputs, node.backward(g)):
-                if in_grad is None:
+        try:
+            for nid in range(loss.node_id, -1, -1):
+                g = self.grads.get(nid)
+                if g is None:
                     continue
-                acc = self.grads.get(in_id)
-                self.grads[in_id] = in_grad if acc is None else acc + in_grad
+                node = self.nodes[nid]
+                if node.backward is None:
+                    continue
+                in_grads = node.backward(g)
+                node.backward = None
+                if keep is not None and nid not in keep:
+                    del self.grads[nid]
+                g = None  # a dropped gradient is freed before the sums below allocate
+                for in_id, in_grad in zip(node.inputs, in_grads):
+                    if in_grad is None:
+                        continue
+                    acc = self.grads.get(in_id)
+                    self.grads[in_id] = in_grad if acc is None else acc + in_grad
+        finally:
+            for node in self.nodes:
+                node.backward = None
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient of the last backward's loss w.r.t. ``t`` (zeros if unreached)."""
@@ -119,9 +139,13 @@ def constant(value) -> Tensor:
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward: Callable) -> Tensor:
     """Attach ``out_data`` to the tape shared by any tracked input.
 
-    ``backward(g)`` must return one gradient per input, positionally;
-    gradients of untracked inputs are computed and discarded (cheap at
-    desk scale, keeps op implementations uniform).
+    ``backward(g)`` must return one gradient per input, positionally, and
+    None for every input that is not on the tape. Ops read each input's
+    ``requires_grad`` when they are built, so a backward computes only the
+    gradients the sweep accumulates: the weight gradient of a matmul whose
+    weight is a constant is never formed. A single-input op is recorded
+    only when its input is on the tape, so it needs no such test.
+    Closures keep arrays, shapes and flags, not the input tensors.
     """
     tape = None
     for t in inputs:
@@ -131,15 +155,8 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward: Callable) 
             tape = t.tape
     out = Tensor(out_data)
     if tape is not None:
-        positions = tuple(i for i, t in enumerate(inputs) if t.tape is tape)
-        node_ids = tuple(inputs[i].node_id for i in positions)
-
-        def node_backward(g, _bw=backward, _pos=positions):
-            grads = _bw(g)
-            return [grads[i] for i in _pos]
-
         out.tape = tape
-        out.node_id = tape._add_node(node_ids, node_backward)
+        out.node_id = tape._add_node(tuple(t.node_id for t in inputs), backward)
     return out
 
 
@@ -163,9 +180,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     _broadcast_check(a.shape, b.shape, "add")
+    a_shape, b_shape = a.shape, b.shape
+    ga, gb = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, a_shape) if ga else None,
+                _reduce_to(g, b_shape) if gb else None)
 
     return _record([a, b], a.data + b.data, bw)
 
@@ -174,9 +194,11 @@ def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     _broadcast_check(a.shape, b.shape, "mul")
     ad, bd = a.data, b.data
+    ga, gb = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return (_reduce_to(g * bd, ad.shape) if ga else None,
+                _reduce_to(g * ad, bd.shape) if gb else None)
 
     return _record([a, b], ad * bd, bw)
 
@@ -200,18 +222,20 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-D+ operands, got {ad.shape} and {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
+    ga, gb = a.requires_grad, b.requires_grad
     if bd.ndim == 2:
         def bw(g):
-            da = g @ bd.swapaxes(-1, -2)
+            da = g @ bd.swapaxes(-1, -2) if ga else None
             db = np.tensordot(ad, g, axes=(tuple(range(ad.ndim - 1)),
-                                           tuple(range(g.ndim - 1))))
+                                           tuple(range(g.ndim - 1)))) if gb else None
             return da, db
     else:
         if ad.shape[:-2] != bd.shape[:-2]:
             raise ShapeError(f"matmul batch dimensions disagree: {ad.shape} vs {bd.shape}")
 
         def bw(g):
-            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+            return (g @ bd.swapaxes(-1, -2) if ga else None,
+                    ad.swapaxes(-1, -2) @ g if gb else None)
 
     return _record([a, b], ad @ bd, bw)
 
@@ -248,8 +272,9 @@ def gelu(a) -> Tensor:
     than the rest of the op. Temporaries are reused in place.
     """
     a = constant(a)
+    shape = a.shape
     # 0-d products come back as numpy scalars, which cannot take out=
-    x = a.data.reshape(a.shape or (1,))
+    x = a.data.reshape(shape or (1,))
     t = x * x
     t *= x
     t *= _GELU_A
@@ -274,20 +299,29 @@ def gelu(a) -> Tensor:
         p *= 0.5
         d += p
         d *= g
-        return (d.reshape(a.shape),)
+        return (d.reshape(shape),)
 
-    return _record([a], out.reshape(a.shape), bw)
+    return _record([a], out.reshape(shape), bw)
 
 
 def softmax_rows(a) -> Tensor:
-    """Softmax along the last axis, stabilized by row-max subtraction."""
+    """Softmax along the last axis, stabilized by row-max subtraction.
+
+    Forward and backward each allocate one array of the input's size and
+    work in it in place.
+    """
     a = constant(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        # y (g - Σ g y)
+        d = g * y
+        s = d.sum(axis=-1, keepdims=True)
+        np.subtract(g, s, out=d)
+        d *= y
+        return (d,)
 
     return _record([a], y, bw)
 
@@ -303,14 +337,17 @@ def layer_norm(a, gain, offset, eps: float) -> Tensor:
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    gd = gain.data
+    gd, offset_shape = gain.data, offset.shape
+    ga, gg, go = a.requires_grad, gain.requires_grad, offset.requires_grad
 
     def bw(g):
-        gy = g * gd
-        dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                    - y * (gy * y).mean(axis=-1, keepdims=True))
-        dgain = _reduce_to(g * y, gain.shape)
-        doffset = _reduce_to(g, offset.shape)
+        dx = None
+        if ga:
+            gy = g * gd
+            dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                        - y * (gy * y).mean(axis=-1, keepdims=True))
+        dgain = _reduce_to(g * y, gd.shape) if gg else None
+        doffset = _reduce_to(g, offset_shape) if go else None
         return dx, dgain, doffset
 
     return _record([a, gain, offset], y * gd + offset.data, bw)
@@ -325,11 +362,14 @@ def rms_norm(a, gain, eps: float) -> Tensor:
     r = np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + eps)
     y = x / r
     gd = gain.data
+    ga, gg = a.requires_grad, gain.requires_grad
 
     def bw(g):
-        gy = g * gd
-        dx = gy / r - x * (gy * x).mean(axis=-1, keepdims=True) / (r * r * r)
-        return dx, _reduce_to(g * y, gain.shape)
+        dx = None
+        if ga:
+            gy = g * gd
+            dx = gy / r - x * (gy * x).mean(axis=-1, keepdims=True) / (r * r * r)
+        return dx, _reduce_to(g * y, gd.shape) if gg else None
 
     return _record([a, gain], y * gd, bw)
 
@@ -341,20 +381,21 @@ def mse_loss(pred, target) -> Tensor:
         raise ShapeError(f"mse_loss: prediction {pred.shape} vs target {target.shape}")
     diff = pred.data - target.data
     n = diff.size
+    gp, gt = pred.requires_grad, target.requires_grad
 
     def bw(g):
         d = g * (2.0 / n) * diff
-        return d, -d
+        return d if gp else None, -d if gt else None
 
     return _record([pred, target], np.asarray((diff * diff).mean()), bw)
 
 
 def slice_last(a, start: int, stop: int) -> Tensor:
     a = constant(a)
-    width = a.shape[-1]
+    shape = a.shape
 
     def bw(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(shape)
         z[..., start:stop] = g
         return (z,)
 
@@ -365,9 +406,11 @@ def concat_last(parts: Sequence) -> Tensor:
     parts = [constant(p) for p in parts]
     widths = [p.shape[-1] for p in parts]
     offs = np.cumsum([0] + widths)
+    needs = [p.requires_grad for p in parts]
 
     def bw(g):
-        return tuple(g[..., offs[i]:offs[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offs[i]:offs[i + 1]] if need else None
+                     for i, need in enumerate(needs))
 
     return _record(parts, np.concatenate([p.data for p in parts], axis=-1), bw)
 
@@ -385,9 +428,10 @@ def gather_last(a, idx: np.ndarray) -> Tensor:
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
     _check_unique(idx, "gather_last")
+    shape = a.shape
 
     def bw(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(shape)
         z[..., idx] = g
         return (z,)
 
@@ -409,9 +453,10 @@ def scatter_last(a, idx: np.ndarray, width: int) -> Tensor:
 def take_token(a, index: int) -> Tensor:
     """Select one position along the token axis (axis -2)."""
     a = constant(a)
+    shape = a.shape
 
     def bw(g):
-        z = np.zeros(a.shape)
+        z = np.zeros(shape)
         z[..., index, :] = g
         return (z,)
 

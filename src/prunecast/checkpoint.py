@@ -9,14 +9,15 @@ everything preceding it. Round-trips are byte-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zlib
 
 import numpy as np
 
 from .errors import (CheckpointChecksumError, CheckpointFormatError,
-                     CheckpointTruncatedError, CheckpointVersionError)
-from .model import Forecaster, ForecasterConfig
+                     CheckpointTruncatedError, CheckpointVersionError, ConfigError)
+from .model import SIZE_KEYS, Forecaster, ForecasterConfig, config_problems
 from .pruning import ImportanceLedger
 from .slicing import index_maps
 
@@ -58,8 +59,52 @@ def save_checkpoint(model: Forecaster, path: str,
         f.write(blob)
 
 
+HEADER_KEYS = ("config", "layers", "ema", "tensors")
+TENSOR_KEYS = ("name", "shape", "offset")
+LAYER_KEYS = ("id", "m_in", "m_out")
+LEDGER_KEYS = ("alpha", "batch_count", "refs", "ema", "last_raw", "alive")
+
+
+def _header_config_problems(cfg) -> list[str]:
+    """Every missing, unknown, mistyped or out-of-range header config value."""
+    if not isinstance(cfg, dict):
+        return [f"config must be an object, got {type(cfg).__name__}"]
+    fields = {f.name: f for f in dataclasses.fields(ForecasterConfig)}
+    out = [f"config.{k}: missing" for k, f in fields.items()
+           if k not in cfg and f.default is dataclasses.MISSING]
+    out += [f"config.{k}: unknown key" for k in cfg if k not in fields]
+    for k, v in cfg.items():
+        if k not in fields:
+            continue
+        want = int if k in SIZE_KEYS else str
+        if not isinstance(v, want) or isinstance(v, bool):
+            out.append(f"config.{k}: expected {want.__name__}, got {type(v).__name__}")
+    return out + config_problems(cfg)
+
+
+def _require_keys(path: str, where: str, spec, keys: tuple[str, ...]) -> None:
+    if not isinstance(spec, dict):
+        raise CheckpointFormatError(f"{path}: {where} must be an object, "
+                                    f"got {type(spec).__name__}")
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise CheckpointFormatError(f"{path}: {where} lacks {', '.join(missing)}")
+
+
+def _check_shape(path: str, name, shape) -> None:
+    if not (isinstance(shape, list)
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+                    for d in shape)):
+        raise CheckpointFormatError(f"{path}: tensor {name!r} has a bad shape {shape!r}")
+
+
 def load_checkpoint(path: str) -> Forecaster:
-    """Rebuild the model (and its ledger, when present) from a checkpoint."""
+    """Rebuild the model (and its ledger, when present) from a checkpoint.
+
+    Fails closed: a header that lacks a key, names an unknown, duplicate or
+    missing tensor or layer, or carries a mistyped or out-of-range config
+    raises ``CheckpointFormatError``.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < len(MAGIC) + 4 + 4:
@@ -85,15 +130,30 @@ def load_checkpoint(path: str) -> Forecaster:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
 
+    _require_keys(path, "header", header, HEADER_KEYS)
+    problems = _header_config_problems(header["config"])
+    if problems:
+        raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
     model = Forecaster(ForecasterConfig.from_dict(header["config"]), seed=0)
     payload = data[12 + head_len:-4]
     named = dict(model.named_params())
-    for spec in header["tensors"]:
-        arr = named.get(spec["name"])
+    if not isinstance(header["tensors"], list):
+        raise CheckpointFormatError(f"{path}: header tensors must be a list")
+    seen: set[str] = set()
+    for i, spec in enumerate(header["tensors"]):
+        _require_keys(path, f"tensor entry {i}", spec, TENSOR_KEYS)
+        arr = named.get(spec["name"]) if isinstance(spec["name"], str) else None
         if arr is None:
             raise CheckpointFormatError(f"{path}: unknown tensor {spec['name']!r}")
+        if spec["name"] in seen:
+            raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} appears twice")
+        seen.add(spec["name"])
+        _check_shape(path, spec["name"], spec["shape"])
         n = int(np.prod(spec["shape"])) if spec["shape"] else 1
         lo = spec["offset"]
+        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
+            raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} has a bad "
+                                        f"offset {lo!r}")
         hi = lo + n * 8
         if hi > len(payload):
             raise CheckpointTruncatedError(f"{path}: tensor {spec['name']!r} "
@@ -103,13 +163,33 @@ def load_checkpoint(path: str) -> Forecaster:
             raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} has shape "
                                         f"{vals.shape}, model expects {arr.shape}")
         arr[...] = vals
+    missing = [name for name in named if name not in seen]
+    if missing:
+        raise CheckpointFormatError(f"{path}: header lacks tensor(s) {', '.join(missing)}")
 
-    for layer, spec in zip(model.linears(), header["layers"]):
+    linears = model.linears()
+    if not isinstance(header["layers"], list) or len(header["layers"]) != len(linears):
+        raise CheckpointFormatError(f"{path}: header must list {len(linears)} layers")
+    for i, (layer, spec) in enumerate(zip(linears, header["layers"])):
+        _require_keys(path, f"layer entry {i}", spec, LAYER_KEYS)
         if layer.layer_id != spec["id"]:
             raise CheckpointFormatError(f"{path}: layer order mismatch at {spec['id']!r}")
-        layer.m_in[...] = np.asarray(spec["m_in"], dtype=np.float64)
-        layer.m_out[...] = np.asarray(spec["m_out"], dtype=np.float64)
+        for side, mask in (("m_in", layer.m_in), ("m_out", layer.m_out)):
+            bits = spec[side]
+            if not (isinstance(bits, list) and len(bits) == mask.size
+                    and all(b in (0, 1) and not isinstance(b, bool) for b in bits)):
+                raise CheckpointFormatError(f"{path}: {spec['id']}.{side} must be "
+                                            f"{mask.size} bits of 0 or 1")
+            mask[...] = np.asarray(bits, dtype=np.float64)
 
     if header["ema"] is not None:
-        model.ledger = ImportanceLedger.from_dict(header["ema"])
+        _require_keys(path, "header ema", header["ema"], LEDGER_KEYS)
+        try:
+            ledger = ImportanceLedger.from_dict(header["ema"])
+        except (AttributeError, ConfigError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"{path}: bad ledger: {exc}") from exc
+        n = len(ledger.refs)
+        if not ledger.ema.shape == ledger.last_raw.shape == ledger.alive.shape == (n,):
+            raise CheckpointFormatError(f"{path}: ledger arrays do not match its {n} refs")
+        model.ledger = ledger
     return model

@@ -134,8 +134,11 @@ def validate_config(raw: dict) -> dict:
     data = cfg.get("data")
     if data:
         if isinstance(data.get("split"), dict):
+            from .data import split_problems
+
             data["split"] = _check_section("data.split", data["split"],
                                            _SPLIT_SCHEMA, errors)
+            errors.extend(split_problems(data["split"]))
         if data.get("synth") is not None:
             data["synth"] = _check_section("data.synth", data["synth"],
                                            _SYNTH_SCHEMA, errors)

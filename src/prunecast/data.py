@@ -47,8 +47,26 @@ class SeriesTable:
         return SeriesTable(list(names), self.values[:, cols].copy(), self.frequency)
 
 
+SPLIT_PARTS = ("train", "val", "test")
+
+
+def split_problems(d: dict) -> list[str]:
+    """Every negative or non-finite split part; mistyped values are skipped."""
+    out = []
+    for part in SPLIT_PARTS:
+        v = d.get(part)
+        if isinstance(v, (int, float)) and not isinstance(v, bool) \
+                and not (math.isfinite(v) and v >= 0):
+            out.append(f"data.split.{part}: must be a finite count or fraction "
+                       f">= 0, got {v}")
+    return out
+
+
 @dataclass
 class SplitSpec:
+    """Points per part: a value strictly between 0 and 1 is a fraction of the
+    series, any other value a point count, so 1.0 means one point."""
+
     train: float
     val: float
     test: float
@@ -57,6 +75,9 @@ class SplitSpec:
     stride: int = 1
 
     def __post_init__(self):
+        problems = split_problems({p: getattr(self, p) for p in SPLIT_PARTS})
+        if problems:
+            raise ConfigError("; ".join(problems))
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if self.context_len < 1 or self.horizon < 1:

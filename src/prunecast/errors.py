@@ -49,3 +49,7 @@ class CheckpointChecksumError(CheckpointError):
 
 class TrainingDivergedError(PrunecastError):
     """Loss became NaN/Inf during training; message carries diagnostics."""
+
+
+class PruneDivergedError(PrunecastError):
+    """A channel importance score became NaN/Inf during progressive pruning."""

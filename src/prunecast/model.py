@@ -94,7 +94,14 @@ class LinearCapture:
 
 
 class ForwardContext:
-    """Carries the tape and collects leaves/captures during one forward pass."""
+    """Carries the tape and collects leaves/captures during one forward pass.
+
+    On a tape every parameter and mask becomes a watched leaf. The capture
+    pass (``capture_grads``) reads only activation gradients, so there
+    parameters and masks enter as constants and the normalized window input
+    is watched instead: every layer's x ⊙ m_in and y ⊙ m_out is still on the
+    tape, and no weight, bias, gain or mask gradient is ever formed.
+    """
 
     def __init__(self, tape: Tape | None = None, capture_grads: bool = False):
         self.tape = tape
@@ -104,13 +111,27 @@ class ForwardContext:
         self.captures: dict[str, LinearCapture] = {}
 
     def lift(self, name: str, array: np.ndarray) -> Tensor:
-        if self.tape is None:
+        if self.tape is None or self.capture_grads:
             return ad.constant(array)
         leaf = self.param_leaves.get(name)
         if leaf is None:
             leaf = self.tape.watch(array)
             self.param_leaves[name] = leaf
         return leaf
+
+    def input(self, array: np.ndarray) -> Tensor:
+        """The model input: watched in the capture pass, else a constant."""
+        return self.tape.watch(array) if self.capture_grads else ad.constant(array)
+
+    def masks(self, layer: MaskedLinear) -> tuple[Tensor, Tensor]:
+        """A layer's (m_in, m_out): watched leaves on a tape, except in the capture pass."""
+        if self.capture_grads:
+            return ad.constant(layer.m_in), ad.constant(layer.m_out)
+        leaves = self.mask_leaves.get(layer.layer_id)
+        if leaves is None:
+            leaves = (self.tape.watch(layer.m_in), self.tape.watch(layer.m_out))
+            self.mask_leaves[layer.layer_id] = leaves
+        return leaves
 
 
 class MaskedLinear:
@@ -145,10 +166,7 @@ class MaskedLinear:
                 out = out * self.m_out
             return ad.constant(out)
 
-        if self.layer_id not in ctx.mask_leaves:
-            ctx.mask_leaves[self.layer_id] = (ctx.tape.watch(self.m_in),
-                                              ctx.tape.watch(self.m_out))
-        m_in_t, m_out_t = ctx.mask_leaves[self.layer_id]
+        m_in_t, m_out_t = ctx.masks(self)
         xm = ad.mul(x, m_in_t)
         y = ad.matmul(xm, ctx.lift(f"{self.layer_id}.w", self.w))
         if self.b is not None:
@@ -290,7 +308,7 @@ class ForecasterBase:
         if windows.shape[-1] != cfg.context_len:
             raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
         norm_w, mu, sigma = self.normalize_windows(windows)
-        x = ad.constant(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
+        x = ctx.input(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
         x = self.embed.forward(x, ctx)
 
         causal = None
@@ -373,7 +391,9 @@ class Forecaster(ForecasterBase):
         """Forward a (B, L) batch of context windows.
 
         Returns normalized-scale predictions; de-normalization stats ride
-        along. With a tape, every parameter and mask becomes a watched leaf.
+        along. With a tape, every parameter and mask becomes a watched leaf;
+        with ``capture_grads`` as well, only the input is watched and every
+        linear layer leaves its ``LinearCapture`` (see ``ForwardContext``).
         """
         return self._forward(windows, ForwardContext(tape, capture_grads),
                              AnalysisCapture() if analysis else None)

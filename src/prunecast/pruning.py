@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .data import WindowSet
-from .errors import ConfigError
+from .errors import ConfigError, PruneDivergedError
 from .model import Forecaster
 from .training import batch_loss
 
@@ -44,7 +44,15 @@ class ChannelRef:
 
 
 class ImportanceLedger:
-    """Global registry of maskable channels, their EMA scores and liveness."""
+    """Global registry of maskable channels, their EMA scores and liveness.
+
+    The refs are fixed at construction, and index arrays over them are
+    cached once so per-batch work never loops over refs in Python:
+    ``columns`` maps each (layer_id, side) to the ledger positions of its
+    channels and their channel indices, and ``rank`` gives every ref's place
+    in ``ChannelRef`` order, (layer_id, side, index), the tie-break of
+    ``prune_step``.
+    """
 
     def __init__(self, refs: list[ChannelRef], alpha: float):
         if not 0.0 < alpha <= 1.0:
@@ -57,6 +65,19 @@ class ImportanceLedger:
         self.alpha = alpha
         self.batch_count = 0
 
+        groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        for i, r in enumerate(refs):
+            groups.setdefault((r.layer_id, r.side), []).append((i, r.index))
+        self.columns: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self.rank = np.empty(len(refs), dtype=np.intp)
+        placed = 0
+        for key in sorted(groups):
+            cols, chans = np.asarray(groups[key], dtype=np.intp).T
+            self.columns[key] = (cols, chans)
+            self.rank[cols[np.argsort(chans, kind="stable")]] = np.arange(
+                placed, placed + cols.size)
+            placed += cols.size
+
     @classmethod
     def from_model(cls, model: Forecaster, alpha: float) -> "ImportanceLedger":
         refs = []
@@ -65,11 +86,19 @@ class ImportanceLedger:
             refs.extend(ChannelRef(layer.layer_id, "output", j) for j in range(layer.d_out))
         ledger = cls(refs, alpha)
         for layer in model.linears():
-            for i in np.flatnonzero(layer.m_in == 0.0):
-                ledger.alive[ledger.index[ChannelRef(layer.layer_id, "input", int(i))]] = False
-            for j in np.flatnonzero(layer.m_out == 0.0):
-                ledger.alive[ledger.index[ChannelRef(layer.layer_id, "output", int(j))]] = False
+            for side, mask in (("input", layer.m_in), ("output", layer.m_out)):
+                cols, chans = ledger.columns[(layer.layer_id, side)]
+                ledger.alive[cols[mask[chans] == 0.0]] = False
         return ledger
+
+    def candidates(self, protected: set | frozenset) -> np.ndarray:
+        """Ledger positions of the alive channels not in ``protected``, ascending."""
+        free = self.alive.copy()
+        for ref in protected:
+            i = self.index.get(ref)
+            if i is not None:
+                free[i] = False
+        return np.flatnonzero(free)
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
@@ -140,8 +169,11 @@ class PerSampleGrads:
 
     def stacked(self, ledger: ImportanceLedger) -> np.ndarray:
         """(N, n_channels) matrix aligned with the ledger's channel order."""
-        cols = [self.arrays[(r.layer_id, r.side)][:, r.index] for r in ledger.refs]
-        return np.stack(cols, axis=1)
+        n = next(iter(self.arrays.values())).shape[0]
+        out = np.empty((n, len(ledger.refs)))
+        for key, (cols, chans) in ledger.columns.items():
+            out[:, cols] = self.arrays[key][:, chans]
+        return out
 
 
 def per_sample_grads(model: Forecaster, contexts: np.ndarray,
@@ -149,9 +181,13 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     """One batched forward/backward; per-window mask gradients extracted
     from the tape's intermediate-node gradients.
 
-    With the batch-mean loss, the gradient at any sample-private activation
-    equals 1/N times that sample's own loss gradient, so
-    g_{n,i} = N · Σ_tokens x_i · ∂L/∂(x_i m_i) restricted to window n.
+    The forward is the capture pass (``capture_grads``): parameters and
+    masks are constants, so the backward runs over activations only and
+    forms no weight, bias, gain or mask gradient, and the tape keeps only
+    the gradients read below. With the batch-mean loss, the gradient at
+    any sample-private activation equals 1/N times that sample's own loss
+    gradient, so g_{n,i} = N · Σ_tokens x_i · ∂L/∂(x_i m_i) restricted to
+    window n.
     """
     contexts = np.atleast_2d(contexts)
     targets = np.atleast_2d(targets)
@@ -159,7 +195,8 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     tape = Tape()
     fp = model.forward_batch(contexts, tape=tape, capture_grads=True)
     loss = ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(targets)))
-    tape.backward(loss)
+    captures = fp.ctx.captures.values()
+    tape.backward(loss, keep={t.node_id for cap in captures for t in (cap.xm, cap.h)})
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for layer in model.linears():
@@ -221,21 +258,23 @@ def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int,
                protected: set | frozenset = frozenset()) -> list[ChannelRef]:
     """Kill the k alive, unprotected channels with the smallest EMA scores.
 
-    Ties break on (layer_id, side, index) so runs are reproducible.
+    Ties break on (layer_id, side, index) so runs are reproducible: the
+    channels come out in the order of the (ema, ref) tuple sort, which a
+    lexsort on (ema, ledger.rank) reproduces.
     """
     if k == 0:
         return []
-    candidates = [(float(ledger.ema[i]), r)
-                  for i, r in enumerate(ledger.refs)
-                  if ledger.alive[i] and r not in protected]
-    if k > len(candidates):
-        raise ConfigError(f"cannot prune {k} channels: only {len(candidates)} "
+    candidates = ledger.candidates(protected)
+    if k > candidates.size:
+        raise ConfigError(f"cannot prune {k} channels: only {candidates.size} "
                           "alive and unprotected")
-    candidates.sort()
+    order = np.lexsort((ledger.rank[candidates], ledger.ema[candidates]))
+    layers = {layer.layer_id: layer for layer in model.linears()}
     pruned = []
-    for _, ref in candidates[:k]:
-        ledger.alive[ledger.index[ref]] = False
-        layer = model.layer_by_id(ref.layer_id)
+    for i in candidates[order[:k]]:
+        ref = ledger.refs[i]
+        ledger.alive[i] = False
+        layer = layers[ref.layer_id]
         (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] = 0.0
         pruned.append(ref)
     return pruned
@@ -286,9 +325,7 @@ def progressive_prune(model: Forecaster, windows: WindowSet,
     protected = schedule.protected or default_protected(model)
     total = len(ledger.refs)
     target_total = int(round(total * schedule.ratio_per_epoch * schedule.epochs))
-    max_candidates = sum(1 for i, r in enumerate(ledger.refs)
-                         if ledger.alive[i] and r not in protected)
-    target_total = min(target_total, max_candidates)
+    target_total = min(target_total, ledger.candidates(protected).size)
 
     n = len(windows)
     batches_per_epoch = max(1, math.ceil(n / schedule.batch_size))
@@ -312,6 +349,12 @@ def progressive_prune(model: Forecaster, windows: WindowSet,
             j += 1
             grads = per_sample_grads(model, windows.contexts[idx], windows.targets[idx])
             scores = raw_importance(grads.stacked(ledger))
+            bad = np.flatnonzero(~np.isfinite(scores))
+            if bad.size:
+                raise PruneDivergedError(
+                    f"non-finite importance score at prune batch {j} for "
+                    f"{bad.size} channel(s), first {ledger.refs[bad[0]]}; "
+                    f"batch loss {grads.loss}")
             ema_update(ledger, scores)
             ledger.batch_count += 1
             k_eff = min(k, target_total - removed)

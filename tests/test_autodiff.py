@@ -276,6 +276,66 @@ class TestTape:
         assert l1 == l2
         assert (gx1 == gx2).all() and (gy1 == gy2).all()
 
+    def test_backward_drops_every_closure_and_keeps_the_record(self):
+        tape = ad.Tape()
+        x = tape.watch(np.array([1.0, 2.0]))
+        y = ad.mul(x, x)
+        loss = ad.mse_loss(y, ad.constant(np.zeros(2)))
+        after = ad.scale(y, 2.0)  # recorded after the loss, never reached
+        n = len(tape.nodes)
+        tape.backward(loss)
+        assert len(tape.nodes) == n and after.node_id < n
+        assert all(node.backward is None for node in tape.nodes)
+        np.testing.assert_array_equal(tape.grad(x), [2.0, 16.0])  # d mean(x⁴)/dx = 2x³
+
+    def test_keep_drops_other_interior_gradients(self, rng):
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+        def run(keep_first):
+            tape = ad.Tape()
+            x, w = tape.watch(a), tape.watch(b)
+            h = ad.matmul(x, w)
+            y = ad.gelu(h)
+            loss = ad.mse_loss(y, ad.constant(np.zeros((3, 2))))
+            tape.backward(loss, keep={h.node_id} if keep_first else None)
+            return tape, (x, w, h, y, loss)
+
+        full, _ = run(False)
+        kept, (x, w, h, y, loss) = run(True)
+        assert set(kept.grads) == {x.node_id, w.node_id, h.node_id}
+        for nid, g in kept.grads.items():
+            assert np.array_equal(g, full.grads[nid])
+
+
+MIXED_OPS = {
+    "add": (lambda a, b: ad.add(a, b), [(3, 4), (4,)]),
+    "mul": (lambda a, b: ad.mul(a, b), [(3, 4), (3, 4)]),
+    "matmul": (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)]),
+    "matmul_batched": (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (2, 4, 5)]),
+    "layer_norm": (lambda a, g, o: ad.layer_norm(a, g, o, 1e-5), [(3, 4), (4,), (4,)]),
+    "rms_norm": (lambda a, g: ad.rms_norm(a, g, 1e-5), [(3, 4), (4,)]),
+    "mse_loss": (lambda a, b: ad.mse_loss(a, b), [(3, 4), (3, 4)]),
+    "concat_last": (lambda a, b, c: ad.concat_last([a, b, c]), [(3, 2), (3, 1), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_OPS))
+def test_untracked_inputs_get_no_gradient(name, rng):
+    """Each backward forms gradients for tracked inputs only: None elsewhere."""
+    build, shapes = MIXED_OPS[name]
+    for tracked in range(len(shapes)):
+        tape = ad.Tape()
+        inputs = [tape.watch(rng.normal(size=s)) if i == tracked
+                  else ad.constant(rng.normal(size=s)) for i, s in enumerate(shapes)]
+        out = build(*inputs)
+        node = tape.nodes[out.node_id]
+        grads = node.backward(np.ones(out.shape))
+        for i, g in enumerate(grads):
+            if i == tracked:
+                assert g.shape == shapes[i], (name, i)
+            else:
+                assert g is None, (name, i)
+
 
 def test_every_op_matches_finite_differences_property(rng):
     """Module invariant: analytic grads match central differences on [-2, 2]."""

@@ -1,5 +1,6 @@
 """Checkpoint round-trips and corruption handling."""
 
+import json
 import zlib
 
 import numpy as np
@@ -95,3 +96,86 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointChecksumError, match="CRC32"):
             load_checkpoint(str(path))
+
+
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """Apply ``edit`` to the parsed header, re-frame it and recompute the CRC."""
+    head_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + head_len:-4]
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def _set(path, value):
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+def _drop_tensor(name):
+    def edit(header):
+        header["tensors"] = [t for t in header["tensors"] if t["name"] != name]
+    return edit
+
+
+HEADER_EDITS = {
+    "config-out-of-range": (_set(["config", "context_len"], 25),
+                            "context_len: 25 is not divisible by patch_len=4"),
+    "config-non-positive": (_set(["config", "heads"], 0), "heads: must be positive"),
+    "config-mistyped": (_set(["config", "d_model"], "8"), "d_model: expected int, got str"),
+    "config-bool": (_set(["config", "layers"], True), "layers: expected int, got bool"),
+    "config-unknown-key": (_set(["config", "width"], 3), "width: unknown key"),
+    "config-missing-key": (_drop(["config", "horizon"]), "horizon: missing"),
+    "config-not-object": (_set(["config"], [1, 2]), "config must be an object"),
+    "no-config": (_drop(["config"]), "header lacks config"),
+    "no-tensors": (_drop(["tensors"]), "header lacks tensors"),
+    "no-layers": (_drop(["layers"]), "header lacks layers"),
+    "no-ema": (_drop(["ema"]), "header lacks ema"),
+    "tensor-no-name": (_drop(["tensors", 0, "name"]), "tensor entry 0 lacks name"),
+    "tensor-no-shape": (_drop(["tensors", 1, "shape"]), "tensor entry 1 lacks shape"),
+    "tensor-no-offset": (_drop(["tensors", 2, "offset"]), "tensor entry 2 lacks offset"),
+    "tensor-bad-offset": (_set(["tensors", 2, "offset"], "0"), "bad offset"),
+    "tensor-bad-shape": (_set(["tensors", 0, "shape"], [4, -8]), "bad shape"),
+    "tensor-dropped": (_drop_tensor("embed.w"), "lacks tensor(s) embed.w"),
+    "layer-dropped": (_drop(["layers", 3]), "must list"),
+    "layer-no-mask": (_drop(["layers", 0, "m_out"]), "layer entry 0 lacks m_out"),
+    "mask-too-short": (_set(["layers", 0, "m_in"], [1]), "embed.m_in must be 4 bits"),
+    "mask-not-binary": (_set(["layers", 1, "m_in"], [2] * 8), "must be 8 bits of 0 or 1"),
+    "ledger-no-refs": (_drop(["ema", "refs"]), "header ema lacks refs"),
+    "ledger-bad-ref": (_set(["ema", "refs", 0], "embed"), "bad ledger"),
+    "ledger-short-ema": (_set(["ema", "ema"], [0.5]), "ledger arrays do not match"),
+}
+
+
+class TestHeaderEdits:
+    """A header edited after saving, with its CRC recomputed, fails closed."""
+
+    def test_unedited_rewrite_loads(self, tmp_path, pruned_model):
+        path = tmp_path / "same.ckpt"
+        blob = checkpoint_bytes(pruned_model)
+        path.write_bytes(rewrite_header(blob, lambda header: None))
+        assert path.read_bytes() == blob
+        load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", sorted(HEADER_EDITS))
+    def test_bad_header_raises_format_error(self, tmp_path, pruned_model, name):
+        edit, needle = HEADER_EDITS[name]
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model), edit))
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(str(path))
+        assert needle in str(err.value)

@@ -85,6 +85,18 @@ class TestConfigValidation:
         assert "seed: expected an int" in err  # reported together with the rest
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_negative_split_listed_with_the_rest(self, tmp_path, capsys, part):
+        cfg = base_config(tmp_path / "out", seed="three")
+        cfg["data"]["split"][part] = -40
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert f"data.split.{part}: must be a finite count or fraction >= 0, got -40" in err
+        assert "seed: expected an int" in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
@@ -209,6 +221,29 @@ class TestCommands:
         report = json.loads((tmp_path / "tr" / "transfer_report.json").read_text())
         assert report["n_windows"] > 0
 
+    @pytest.mark.parametrize("edit", ["config-out-of-range", "config-mistyped",
+                                      "no-tensors", "tensor-no-offset"])
+    def test_eval_on_bad_header_fails_closed(self, pipeline, tmp_path, capsys, edit):
+        from test_checkpoint import rewrite_header
+
+        root, _, ckpt = pipeline
+        change = {"config-out-of-range": lambda h: h["config"].update(context_len=18),
+                  "config-mistyped": lambda h: h["config"].update(heads=2.0),
+                  "no-tensors": lambda h: h.pop("tensors"),
+                  "tensor-no-offset": lambda h: h["tensors"][0].pop("offset")}[edit]
+        bad = tmp_path / "bad.ckpt"
+        with open(ckpt, "rb") as f:
+            bad.write_bytes(rewrite_header(f.read(), change))
+        cfg = json.loads((root / "cfg.json").read_text())
+        del cfg["model"]  # the checkpoint's own config is the one checked
+        cfg_path = write_config(tmp_path, cfg)
+        rc = main(["eval", "--config", cfg_path, "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "ev" / "eval_report.json").exists()
+
     def test_checkpoint_config_mismatch_is_explicit(self, pipeline, tmp_path):
         root, cfg_path, ckpt = pipeline
         cfg = json.loads((root / "cfg.json").read_text())
@@ -230,3 +265,37 @@ class TestDeterminism:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+
+def _compare_runs():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "demos" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareRuns:
+    def make_tree(self, root, files):
+        for rel, text in files.items():
+            p = root / rel
+            p.parent.mkdir(parents=True, exist_ok=True)
+            p.write_text(text)
+        return root
+
+    def test_identical_trees_except_timings(self, tmp_path, capsys):
+        files = {"pretrain/model.ckpt": "w", "eval/eval_report.json": "{}"}
+        a = self.make_tree(tmp_path / "a", {**files, "eval/timings.json": "1.0"})
+        b = self.make_tree(tmp_path / "b", {**files, "eval/timings.json": "2.0"})
+        assert _compare_runs().main([str(a), str(b)]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_differing_and_one_sided_files_listed(self, tmp_path, capsys):
+        a = self.make_tree(tmp_path / "a", {"x/r.json": "1", "only_a.csv": "", "same": "s"})
+        b = self.make_tree(tmp_path / "b", {"x/r.json": "2", "same": "s"})
+        assert _compare_runs().main([str(a), str(b)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"only_a.csv (only in {a})", "x/r.json"]

@@ -101,6 +101,20 @@ class TestWindows:
         with pytest.raises(ConfigError, match="too short.*at least 7"):
             make_windows(table, spec, "train")
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_negative_part_rejected_by_name(self, part):
+        parts = {"train": 5, "val": 3, "test": 2, part: -3}
+        with pytest.raises(ConfigError, match=f"data.split.{part}: .*got -3"):
+            SplitSpec(**parts, context_len=4, horizon=3)
+
+    def test_non_finite_part_rejected(self):
+        with pytest.raises(ConfigError, match="data.split.val"):
+            SplitSpec(5, float("nan"), 2, context_len=4, horizon=3)
+
+    def test_one_point_zero_is_one_point(self):
+        spec = SplitSpec(1.0, 0.5, 0.25, context_len=4, horizon=3)
+        assert spec.resolve(100) == (1, 50, 25)
+
     def test_enumeration_matches_brute_force(self, rng):
         table = synth_dataset("sines", 5, (60, 3))
         spec = SplitSpec(30, 15, 15, context_len=8, horizon=4, stride=2)

@@ -1,17 +1,23 @@
 """Importance scores, EMA, TopK pruning, threshold variant, loss oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from prunecast import autodiff as ad
+from prunecast import pruning, training
 from prunecast.analysis import collect_activation_probs, collect_head_norms
 from prunecast.data import WindowSet, synth_dataset, make_windows, SplitSpec
-from prunecast.errors import ConfigError
+from prunecast.errors import ConfigError, PrunecastError, PruneDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
-from prunecast.pruning import (ChannelRef, ImportanceLedger, PruneSchedule,
-                               default_protected, ema_update, oracle_importance,
-                               per_sample_grads, progressive_prune, prune_stat,
-                               prune_step, raw_importance, taylor2_importance)
+from prunecast.pruning import (ChannelRef, ImportanceLedger, PerSampleGrads,
+                               PruneSchedule, default_protected, ema_update,
+                               oracle_importance, per_sample_grads,
+                               progressive_prune, prune_stat, prune_step,
+                               raw_importance, taylor2_importance)
+from prunecast.training import TrainConfig, finetune
 
 from conftest import assert_grads_close, plant_dead_ffn_channels, plant_dead_head
 from test_model import tiny_config
@@ -110,11 +116,15 @@ class TestPerSampleGrads:
             assert np.abs(grads.arrays[(layer.layer_id, "output")]).max() == 0.0
 
     def test_per_sample_mean_equals_tape_leaf_gradient(self, rng):
-        """Manual x·∂L/∂(xm) assembly must agree with the tape's own leaf grads."""
+        """Manual x·∂L/∂(xm) assembly must agree with the tape's own leaf grads.
+
+        The reference is a plain tape forward, whose masks are leaves; the
+        capture pass that ``per_sample_grads`` runs has none.
+        """
         model = Forecaster(tiny_config(layers=2), seed=7)
         ws = small_windows(model, 5, rng)
         tape = ad.Tape()
-        fp = model.forward_batch(ws.contexts, tape=tape, capture_grads=True)
+        fp = model.forward_batch(ws.contexts, tape=tape)
         loss = ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(ws.targets)))
         tape.backward(loss)
 
@@ -155,6 +165,196 @@ class TestPerSampleGrads:
                 fd = (loss_at(1.0 + h) - loss_at(1.0 - h)) / (2 * h)
                 assert_grads_close(grads.vector(ref)[n], fd, rtol=1e-4,
                                    label=str(ref))
+
+
+class FullTapeContext(ForwardContext):
+    """The capture pass with every parameter and mask a watched leaf and the
+    input a constant, so the backward forms every gradient there is."""
+
+    def __init__(self, tape):
+        super().__init__(tape, capture_grads=True)
+
+    def lift(self, name, array):
+        if name not in self.param_leaves:
+            self.param_leaves[name] = self.tape.watch(array)
+        return self.param_leaves[name]
+
+    def input(self, array):
+        return ad.constant(array)
+
+    def masks(self, layer):
+        if layer.layer_id not in self.mask_leaves:
+            self.mask_leaves[layer.layer_id] = (self.tape.watch(layer.m_in),
+                                                self.tape.watch(layer.m_out))
+        return self.mask_leaves[layer.layer_id]
+
+
+def full_tape_per_sample_grads(model, contexts, targets):
+    """Reference extraction over a tape that holds every leaf."""
+    n = contexts.shape[0]
+    tape = ad.Tape()
+    fp = model._forward(contexts, FullTapeContext(tape), None)
+    loss = ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(targets)))
+    tape.backward(loss)
+    arrays = {}
+    for layer in model.linears():
+        cap = fp.ctx.captures[layer.layer_id]
+        axes = tuple(range(1, cap.x.data.ndim - 1))
+        for side, (act, node) in (("input", (cap.x, cap.xm)), ("output", (cap.y, cap.h))):
+            g = tape.grads.get(node.node_id)
+            width = layer.d_in if side == "input" else layer.d_out
+            arrays[(layer.layer_id, side)] = (np.zeros((n, width)) if g is None
+                                              else n * (act.data * g).sum(axis=axes))
+    return arrays, loss.item(), fp.ctx
+
+
+def prune_at_random(model, rng, fraction=0.3):
+    protected = default_protected(model)
+    for layer in model.linears():
+        for side, mask in (("input", layer.m_in), ("output", layer.m_out)):
+            for i in np.flatnonzero(rng.random(mask.size) < fraction):
+                if ChannelRef(layer.layer_id, side, int(i)) not in protected:
+                    mask[i] = 0.0
+
+
+class TestCapturePass:
+    @pytest.mark.parametrize("overrides", [
+        dict(norm="layernorm", attention="bidirectional", activation="gelu"),
+        dict(norm="rmsnorm", attention="causal", activation="relu"),
+    ], ids=["layernorm-bidirectional-gelu", "rmsnorm-causal-relu"])
+    def test_equals_full_tape_extraction(self, rng, overrides):
+        model = Forecaster(tiny_config(layers=2, **overrides), seed=5)
+        prune_at_random(model, rng)
+        ws = small_windows(model, 6, rng)
+        expected, loss, ctx = full_tape_per_sample_grads(model, ws.contexts, ws.targets)
+        assert ctx.param_leaves and ctx.mask_leaves  # the reference is a full tape
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        assert grads.loss == loss
+        assert grads.arrays.keys() == expected.keys()
+        for key, arr in expected.items():
+            assert np.array_equal(grads.arrays[key], arr), key
+
+    def test_no_leaves_and_no_weight_gradients(self, rng, monkeypatch):
+        model = Forecaster(tiny_config(layers=2), seed=5)
+        prune_at_random(model, rng)
+        ws = small_windows(model, 4, rng)
+
+        def tensordot(*args, **kwargs):
+            raise AssertionError("a weight gradient was formed")
+
+        monkeypatch.setattr(np, "tensordot", tensordot)
+        tape = ad.Tape()
+        fp = model.forward_batch(ws.contexts, tape=tape, capture_grads=True)
+        assert fp.ctx.param_leaves == {} and fp.ctx.mask_leaves == {}
+        tape.backward(ad.mse_loss(fp.pred_norm,
+                                  ad.constant(fp.normalized_targets(ws.targets))))
+        per_sample_grads(model, ws.contexts, ws.targets)
+
+        plain = ad.Tape()  # the plain tape does form weight gradients
+        fp = model.forward_batch(ws.contexts, tape=plain)
+        with pytest.raises(AssertionError, match="weight gradient"):
+            plain.backward(ad.mse_loss(fp.pred_norm,
+                                       ad.constant(fp.normalized_targets(ws.targets))))
+
+
+def tuple_sort_prune(ledger, k, protected):
+    """The per-ref Python reference: sort (ema, ref) tuples, take k."""
+    candidates = sorted((float(ledger.ema[i]), r) for i, r in enumerate(ledger.refs)
+                        if ledger.alive[i] and r not in protected)
+    return [r for _, r in candidates[:k]]
+
+
+class TestLedgerIndexArrays:
+    @pytest.fixture
+    def eleven_blocks(self):
+        """block1.* and block10.* sort next to each other, embed and head after."""
+        return Forecaster(tiny_config(layers=11, d_model=4, d_ffn=4, heads=2,
+                                      context_len=8, patch_len=4, horizon=2), seed=2)
+
+    def tied_ledger(self, model, rng, shuffle):
+        ledger = ImportanceLedger.from_model(model, alpha=0.5)
+        if shuffle:  # a ledger read back from a file need not be in layer order
+            refs = [ledger.refs[i] for i in rng.permutation(len(ledger.refs))]
+            ledger = ImportanceLedger(refs, alpha=0.5)
+        ledger.ema[:] = rng.integers(0, 3, len(ledger.refs)) * 0.25
+        ledger.alive[rng.random(len(ledger.refs)) < 0.2] = False
+        return ledger
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["model-order", "shuffled"])
+    def test_stacked_equals_per_ref_columns(self, eleven_blocks, rng, shuffle):
+        ledger = self.tied_ledger(eleven_blocks, rng, shuffle)
+        arrays = {}
+        for layer in eleven_blocks.linears():
+            arrays[(layer.layer_id, "input")] = rng.normal(size=(3, layer.d_in))
+            arrays[(layer.layer_id, "output")] = rng.normal(size=(3, layer.d_out))
+        grads = PerSampleGrads(arrays, 0.0)
+        expected = np.stack([arrays[(r.layer_id, r.side)][:, r.index]
+                             for r in ledger.refs], axis=1)
+        assert np.array_equal(grads.stacked(ledger), expected)
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["model-order", "shuffled"])
+    def test_prune_step_equals_tuple_sort_under_ties(self, eleven_blocks, rng, shuffle):
+        model = eleven_blocks
+        ledger = self.tied_ledger(model, rng, shuffle)
+        protected = default_protected(model)
+        layer_ids = {r.layer_id for r in ledger.refs}
+        assert {"block1.attn.q", "block10.attn.q", "embed", "head"} <= layer_ids
+        k = len(ledger.candidates(protected)) // 2
+        expected = tuple_sort_prune(ledger, k, protected)
+        tied = {float(ledger.ema[ledger.index[r]]) for r in expected}
+        assert len(tied) < k  # the ties decide most of the order
+        pruned = prune_step(ledger, model, k, protected)
+        assert pruned == expected
+        for ref in pruned:
+            assert not ledger.alive[ledger.index[ref]]
+            layer = model.layer_by_id(ref.layer_id)
+            assert (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] == 0.0
+
+    def test_non_finite_score_names_the_batch(self):
+        model = Forecaster(tiny_config(), seed=3)
+        model.blocks[0].ffn_down.b[0] = np.nan
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=1, batch_size=64, seed=0)
+        with pytest.raises(PruneDivergedError, match="prune batch 1") as err:
+            progressive_prune(model, training_windows(), schedule, alpha=0.5)
+        assert isinstance(err.value, PrunecastError)
+        assert all(l.m_in.all() and l.m_out.all() for l in model.linears())
+
+
+class TestTapesFreedWithoutGc:
+    """A tape holds no reference cycle once its backward ran, so reference
+    counting frees it; the cyclic collector is switched off to show that."""
+
+    @pytest.fixture
+    def tapes(self, monkeypatch):
+        made = []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(pruning, "Tape", TrackedTape)
+        monkeypatch.setattr(training, "Tape", TrackedTape)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        yield made
+        if enabled:
+            gc.enable()
+
+    def test_per_sample_grads(self, tapes, rng):
+        model = Forecaster(tiny_config(), seed=3)
+        ws = small_windows(model, 4, rng)
+        per_sample_grads(model, ws.contexts, ws.targets)
+        assert len(tapes) == 1 and tapes[0]() is None
+
+    def test_training_steps(self, tapes):
+        model = Forecaster(tiny_config(), seed=3)
+        ws = training_windows()
+        cfg = TrainConfig(lr=1e-3, batch_size=128, max_epochs=1, seed=0)
+        finetune(model, ws.subset(np.arange(256)), ws.subset(np.arange(256, 300)), cfg)
+        assert len(tapes) == 2
+        assert all(t() is None for t in tapes)
 
 
 class TestEmaAndPruneStep:
