@@ -37,13 +37,6 @@ class HeadNormStats:
         ratios = np.where(keep, o_norm / np.where(keep, x_norm, 1.0), 0.0)
         self.ratio_sums += ratios.sum(axis=(1, 2))
 
-    def merge(self, other: "HeadNormStats") -> "HeadNormStats":
-        out = HeadNormStats(len(self.ratio_sums))
-        out.ratio_sums = self.ratio_sums + other.ratio_sums
-        out.tokens = self.tokens + other.tokens
-        out.skipped = self.skipped + other.skipped
-        return out
-
     def means(self) -> np.ndarray:
         if self.tokens == 0:
             raise ConfigError("no tokens observed; collect statistics first")
@@ -61,12 +54,6 @@ class ActivationStats:
         """activations: (B, T, d_ffn) post-activation values."""
         self.positives += (activations > 0.0).sum(axis=(0, 1))
         self.total += activations.shape[0] * activations.shape[1]
-
-    def merge(self, other: "ActivationStats") -> "ActivationStats":
-        out = ActivationStats(len(self.positives))
-        out.positives = self.positives + other.positives
-        out.total = self.total + other.total
-        return out
 
     def probabilities(self) -> np.ndarray:
         if self.total == 0:

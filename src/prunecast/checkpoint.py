@@ -2,7 +2,7 @@
 
 Layout: 8-byte magic ("PCKPT\\0\\0" + version byte), 4-byte little-endian
 header length, canonical-JSON UTF-8 header (config, per-layer mask bit
-arrays, EMA ledger state, derived index maps, per-tensor byte offsets),
+arrays, EMA ledger state, per-tensor byte offsets),
 concatenated little-endian f64 tensor payloads, and a trailing CRC32 of
 everything preceding it. Round-trips are byte-exact.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zlib
 
 import numpy as np
@@ -19,32 +20,29 @@ from .errors import (CheckpointChecksumError, CheckpointFormatError,
                      CheckpointTruncatedError, CheckpointVersionError, ConfigError)
 from .model import SIZE_KEYS, Forecaster, ForecasterConfig, config_problems
 from .pruning import ImportanceLedger
-from .slicing import index_maps
+from .slicing import require_binary
 
 MAGIC_PREFIX = b"PCKPT\x00\x00"
 VERSION = 1
 MAGIC = MAGIC_PREFIX + bytes([VERSION])
 
 
-def checkpoint_bytes(model: Forecaster, ledger: ImportanceLedger | None = None) -> bytes:
-    if ledger is None:
-        ledger = model.ledger
+def checkpoint_bytes(model: Forecaster) -> bytes:
     tensors = []
     payload = bytearray()
     for name, arr in model.named_params():
         tensors.append({"name": name, "shape": list(arr.shape),
                         "offset": len(payload)})
         payload.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for l in model.linears():
+        require_binary(l)
     header = {
         "config": model.cfg.to_dict(),
         "layers": [{"id": l.layer_id,
-                    "d_in": l.d_in, "d_out": l.d_out,
-                    "has_bias": l.b is not None,
                     "m_in": l.m_in.astype(int).tolist(),
                     "m_out": l.m_out.astype(int).tolist()}
                    for l in model.linears()],
-        "ema": None if ledger is None else ledger.to_dict(),
-        "index_maps": index_maps(model),
+        "ema": None if model.ledger is None else model.ledger.to_dict(),
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -52,9 +50,8 @@ def checkpoint_bytes(model: Forecaster, ledger: ImportanceLedger | None = None) 
     return blob + (zlib.crc32(blob) & 0xFFFFFFFF).to_bytes(4, "little")
 
 
-def save_checkpoint(model: Forecaster, path: str,
-                    ledger: ImportanceLedger | None = None) -> None:
-    blob = checkpoint_bytes(model, ledger)
+def save_checkpoint(model: Forecaster, path: str) -> None:
+    blob = checkpoint_bytes(model)
     with open(path, "wb") as f:
         f.write(blob)
 
@@ -102,8 +99,9 @@ def load_checkpoint(path: str) -> Forecaster:
     """Rebuild the model (and its ledger, when present) from a checkpoint.
 
     Fails closed: a header that lacks a key, names an unknown, duplicate or
-    missing tensor or layer, or carries a mistyped or out-of-range config
-    raises ``CheckpointFormatError``.
+    missing tensor or layer, carries a mistyped or out-of-range config, or
+    holds a ledger that does not fit the model's channels and masks raises
+    ``CheckpointFormatError``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -134,8 +132,16 @@ def load_checkpoint(path: str) -> Forecaster:
     problems = _header_config_problems(header["config"])
     if problems:
         raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
-    model = Forecaster(ForecasterConfig.from_dict(header["config"]), seed=0)
+    cfg = ForecasterConfig.from_dict(header["config"])
     payload = data[12 + head_len:-4]
+    # checked before the model is built, so a config far larger than the
+    # file allocates nothing
+    weights = cfg.d_model * (cfg.patch_len + cfg.horizon
+                             + cfg.layers * (4 * cfg.d_model + 2 * cfg.d_ffn))
+    if 8 * weights > len(payload):
+        raise CheckpointFormatError(f"{path}: config needs {weights} weights, the "
+                                    f"payload holds {len(payload) // 8} values")
+    model = Forecaster(cfg, seed=0)
     named = dict(model.named_params())
     if not isinstance(header["tensors"], list):
         raise CheckpointFormatError(f"{path}: header tensors must be a list")
@@ -149,7 +155,7 @@ def load_checkpoint(path: str) -> Forecaster:
             raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} appears twice")
         seen.add(spec["name"])
         _check_shape(path, spec["name"], spec["shape"])
-        n = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        n = math.prod(spec["shape"])
         lo = spec["offset"]
         if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
             raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} has a bad "
@@ -185,11 +191,7 @@ def load_checkpoint(path: str) -> Forecaster:
     if header["ema"] is not None:
         _require_keys(path, "header ema", header["ema"], LEDGER_KEYS)
         try:
-            ledger = ImportanceLedger.from_dict(header["ema"])
-        except (AttributeError, ConfigError, TypeError, ValueError) as exc:
+            model.ledger = ImportanceLedger.from_dict(header["ema"], model)
+        except ConfigError as exc:
             raise CheckpointFormatError(f"{path}: bad ledger: {exc}") from exc
-        n = len(ledger.refs)
-        if not ledger.ema.shape == ledger.last_raw.shape == ledger.alive.shape == (n,):
-            raise CheckpointFormatError(f"{path}: ledger arrays do not match its {n} refs")
-        model.ledger = ledger
     return model

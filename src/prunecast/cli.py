@@ -419,7 +419,7 @@ def cmd_report(cfg: dict, out: Path, checkpoint: str, report: str) -> list[str]:
     ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "test")
     normalized = cfg["train"]["normalized_metrics"] if cfg.get("train") else True
     result = evaluate(model, ws, normalized=normalized)
-    _write_json(out / report, result.to_dict(include_timing=False))
+    _write_json(out / report, result.to_dict())
     _write_json(out / "timings.json",
                 {"wall_seconds": time.perf_counter() - t0,
                  "inference_seconds": result.inference_seconds})

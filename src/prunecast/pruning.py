@@ -12,9 +12,11 @@ channels are removed a few at a time until the schedule's target.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +27,6 @@ from .errors import ConfigError, PruneDivergedError
 from .model import Forecaster
 from .training import batch_loss
 
-SIDES = ("input", "output")
-
-
 @dataclass(frozen=True, order=True)
 class ChannelRef:
     layer_id: str
@@ -37,67 +36,64 @@ class ChannelRef:
     def __str__(self) -> str:
         return f"{self.layer_id}:{self.side}:{self.index}"
 
-    @classmethod
-    def parse(cls, text: str) -> "ChannelRef":
-        layer_id, side, index = text.rsplit(":", 2)
-        return cls(layer_id, side, int(index))
+
+PROTECTED = (("embed", "input"), ("head", "output"))  # I/O arity, never pruned
 
 
 class ImportanceLedger:
-    """Global registry of maskable channels, their EMA scores and liveness.
+    """EMA scores and liveness of every maskable channel.
 
-    The refs are fixed at construction, and index arrays over them are
-    cached once so per-batch work never loops over refs in Python:
-    ``columns`` maps each (layer_id, side) to the ledger positions of its
-    channels and their channel indices, and ``rank`` gives every ref's place
-    in ``ChannelRef`` order, (layer_id, side, index), the tie-break of
-    ``prune_step``.
+    ``layout`` lists the model's (layer_id, side, width) groups in model
+    order, and each group's channels sit at contiguous ledger positions, so
+    all per-channel structure follows from the widths: the ``ChannelRef`` of
+    a position, ``rank`` (each position's place in ``ChannelRef`` order, the
+    tie-break of ``prune_step``) and the ``protected`` positions.
     """
 
-    def __init__(self, refs: list[ChannelRef], alpha: float):
+    def __init__(self, layout: list[tuple[str, str, int]], alpha: float):
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"EMA alpha must lie in (0, 1], got {alpha}")
-        self.refs = refs
-        self.index = {r: i for i, r in enumerate(refs)}
-        self.ema = np.zeros(len(refs))
-        self.last_raw = np.zeros(len(refs))
-        self.alive = np.ones(len(refs), dtype=bool)
+        self.layout = layout
+        widths = [width for _, _, width in layout]
+        self.starts = np.cumsum([0] + widths).tolist()
+        self.ema = np.zeros(self.starts[-1])
+        self.last_raw = np.zeros(self.starts[-1])
+        self.alive = np.ones(self.starts[-1], dtype=bool)
         self.alpha = alpha
         self.batch_count = 0
-
-        groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        for i, r in enumerate(refs):
-            groups.setdefault((r.layer_id, r.side), []).append((i, r.index))
-        self.columns: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        self.rank = np.empty(len(refs), dtype=np.intp)
-        placed = 0
-        for key in sorted(groups):
-            cols, chans = np.asarray(groups[key], dtype=np.intp).T
-            self.columns[key] = (cols, chans)
-            self.rank[cols[np.argsort(chans, kind="stable")]] = np.arange(
-                placed, placed + cols.size)
-            placed += cols.size
+        by_ref = sorted(range(len(layout)), key=lambda g: layout[g][:2])
+        self.rank = np.argsort(np.concatenate(
+            [np.arange(self.starts[g], self.starts[g + 1]) for g in by_ref]))
+        self.protected = np.flatnonzero(np.repeat(
+            [(layer_id, side) in PROTECTED for layer_id, side, _ in layout], widths))
 
     @classmethod
     def from_model(cls, model: Forecaster, alpha: float) -> "ImportanceLedger":
-        refs = []
-        for layer in model.linears():
-            refs.extend(ChannelRef(layer.layer_id, "input", i) for i in range(layer.d_in))
-            refs.extend(ChannelRef(layer.layer_id, "output", j) for j in range(layer.d_out))
-        ledger = cls(refs, alpha)
-        for layer in model.linears():
-            for side, mask in (("input", layer.m_in), ("output", layer.m_out)):
-                cols, chans = ledger.columns[(layer.layer_id, side)]
-                ledger.alive[cols[mask[chans] == 0.0]] = False
+        masks = [(layer.layer_id, side, mask) for layer in model.linears()
+                 for side, mask in (("input", layer.m_in), ("output", layer.m_out))]
+        ledger = cls([(layer_id, side, mask.size) for layer_id, side, mask in masks], alpha)
+        ledger.alive = np.concatenate([mask != 0.0 for _, _, mask in masks])
         return ledger
 
-    def candidates(self, protected: set | frozenset) -> np.ndarray:
-        """Ledger positions of the alive channels not in ``protected``, ascending."""
+    def ref(self, i: int) -> ChannelRef:
+        g = bisect.bisect_right(self.starts, i) - 1
+        layer_id, side, _ = self.layout[g]
+        return ChannelRef(layer_id, side, int(i - self.starts[g]))
+
+    @property
+    def refs(self) -> list[ChannelRef]:
+        return [ChannelRef(layer_id, side, i)
+                for layer_id, side, width in self.layout for i in range(width)]
+
+    def names(self) -> list[str]:
+        """``str`` of every ref, formatted without building the refs."""
+        return [f"{layer_id}:{side}:{i}"
+                for layer_id, side, width in self.layout for i in range(width)]
+
+    def candidates(self) -> np.ndarray:
+        """Ledger positions of the alive, unprotected channels, ascending."""
         free = self.alive.copy()
-        for ref in protected:
-            i = self.index.get(ref)
-            if i is not None:
-                free[i] = False
+        free[self.protected] = False
         return np.flatnonzero(free)
 
     def alive_count(self) -> int:
@@ -111,31 +107,45 @@ class ImportanceLedger:
         return {
             "alpha": self.alpha,
             "batch_count": self.batch_count,
-            "refs": [str(r) for r in self.refs],
+            "refs": self.names(),
             "ema": self.ema.tolist(),
             "last_raw": self.last_raw.tolist(),
             "alive": self.alive.astype(int).tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ImportanceLedger":
-        ledger = cls([ChannelRef.parse(r) for r in d["refs"]], d["alpha"])
-        ledger.batch_count = d["batch_count"]
-        ledger.ema = np.asarray(d["ema"], dtype=np.float64)
-        ledger.last_raw = np.asarray(d["last_raw"], dtype=np.float64)
-        ledger.alive = np.asarray(d["alive"], dtype=bool)
+    def from_dict(cls, d: dict, model: Forecaster) -> "ImportanceLedger":
+        """Rebuild a stored ledger on ``model``'s layout and masks.
+
+        Raises ``ConfigError`` naming the first field that does not fit:
+        ``alpha`` outside (0, 1], ``batch_count`` not an int >= 0, refs other
+        than the model's in order, EMA state not finite and >= 0, or
+        ``alive`` other than the masks as 0/1 ints.
+        """
+        alpha, count = d["alpha"], d["batch_count"]
+        if not (type(alpha) in (int, float) and 0.0 < alpha <= 1.0):  # a bool is mistyped
+            raise ConfigError(f"alpha: must be a number in (0, 1], got {alpha!r}")
+        if not (type(count) is int and count >= 0):
+            raise ConfigError(f"batch_count: must be an int >= 0, got {count!r}")
+        ledger = cls.from_model(model, alpha)
+        ledger.batch_count = count
+        n = ledger.alive.size
+        if d["refs"] != ledger.names():
+            raise ConfigError(f"refs: must name the model's {n} channels in order")
+        for key in ("ema", "last_raw"):
+            vals = d[key]
+            if not (isinstance(vals, list) and len(vals) == n and all(
+                    type(v) in (int, float) and 0 <= v <= sys.float_info.max for v in vals)):
+                raise ConfigError(f"{key}: must be {n} finite numbers >= 0")
+            setattr(ledger, key, np.asarray(vals, dtype=np.float64))
+        if (d["alive"] != ledger.alive.astype(int).tolist()
+                or not all(type(b) is int for b in d["alive"])):
+            raise ConfigError(f"alive: must be the masks, as {n} ints of 0 or 1")
         return ledger
 
     def scores_csv_rows(self) -> list[tuple]:
         return [(r.layer_id, r.side, r.index, float(self.ema[i]), int(self.alive[i]))
                 for i, r in enumerate(self.refs)]
-
-
-def default_protected(model: Forecaster) -> set[ChannelRef]:
-    """I/O-arity channels exempt from pruning: embed inputs, head outputs."""
-    out = {ChannelRef("embed", "input", i) for i in range(model.embed.d_in)}
-    out |= {ChannelRef("head", "output", j) for j in range(model.head.d_out)}
-    return out
 
 
 @dataclass
@@ -144,7 +154,6 @@ class PruneSchedule:
     epochs: int = 1
     batch_size: int = 64
     k: int | None = None
-    protected: set = field(default_factory=set)
     target_param_fraction: float | None = None
     seed: int = 0
 
@@ -169,11 +178,8 @@ class PerSampleGrads:
 
     def stacked(self, ledger: ImportanceLedger) -> np.ndarray:
         """(N, n_channels) matrix aligned with the ledger's channel order."""
-        n = next(iter(self.arrays.values())).shape[0]
-        out = np.empty((n, len(ledger.refs)))
-        for key, (cols, chans) in ledger.columns.items():
-            out[:, cols] = self.arrays[key][:, chans]
-        return out
+        return np.concatenate([self.arrays[(layer_id, side)]
+                               for layer_id, side, _ in ledger.layout], axis=1)
 
 
 def per_sample_grads(model: Forecaster, contexts: np.ndarray,
@@ -239,23 +245,18 @@ def taylor2_importance(first: np.ndarray, second: np.ndarray) -> np.ndarray:
                   + 0.5 * np.asarray(second, dtype=np.float64))
 
 
-def ema_update(ledger: ImportanceLedger, raw_scores: np.ndarray,
-               alpha: float | None = None) -> ImportanceLedger:
+def ema_update(ledger: ImportanceLedger, raw_scores: np.ndarray) -> ImportanceLedger:
     """s̃ ← α·s + (1−α)·s̃ for every channel, dead ones included."""
-    alpha = ledger.alpha if alpha is None else alpha
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"EMA alpha must lie in (0, 1], got {alpha}")
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != ledger.ema.shape:
         raise ConfigError(f"raw score vector has shape {raw_scores.shape}, "
                           f"ledger holds {ledger.ema.shape}")
     ledger.last_raw = raw_scores.copy()
-    ledger.ema = alpha * raw_scores + (1.0 - alpha) * ledger.ema
+    ledger.ema = ledger.alpha * raw_scores + (1.0 - ledger.alpha) * ledger.ema
     return ledger
 
 
-def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int,
-               protected: set | frozenset = frozenset()) -> list[ChannelRef]:
+def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int) -> list[ChannelRef]:
     """Kill the k alive, unprotected channels with the smallest EMA scores.
 
     Ties break on (layer_id, side, index) so runs are reproducible: the
@@ -264,7 +265,7 @@ def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int,
     """
     if k == 0:
         return []
-    candidates = ledger.candidates(protected)
+    candidates = ledger.candidates()
     if k > candidates.size:
         raise ConfigError(f"cannot prune {k} channels: only {candidates.size} "
                           "alive and unprotected")
@@ -272,7 +273,7 @@ def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int,
     layers = {layer.layer_id: layer for layer in model.linears()}
     pruned = []
     for i in candidates[order[:k]]:
-        ref = ledger.refs[i]
+        ref = ledger.ref(i)
         ledger.alive[i] = False
         layer = layers[ref.layer_id]
         (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] = 0.0
@@ -311,21 +312,18 @@ class PruneTrace:
         return "\n".join(r.to_json() for r in self.records) + "\n"
 
 
-def progressive_prune(model: Forecaster, windows: WindowSet,
-                      schedule: PruneSchedule, alpha: float,
-                      ledger: ImportanceLedger | None = None) -> tuple[ImportanceLedger, PruneTrace]:
+def progressive_prune(model: Forecaster, windows: WindowSet, schedule: PruneSchedule,
+                      alpha: float) -> tuple[ImportanceLedger, PruneTrace]:
     """Batch-wise score → EMA → global TopK removal until the target ratio.
 
     Batches are drawn without replacement within each epoch from a seeded
     shuffle. The model's masks are mutated in place; the ledger is attached
     to the model for checkpointing.
     """
-    if ledger is None:
-        ledger = ImportanceLedger.from_model(model, alpha)
-    protected = schedule.protected or default_protected(model)
-    total = len(ledger.refs)
+    ledger = ImportanceLedger.from_model(model, alpha)
+    total = ledger.alive.size
     target_total = int(round(total * schedule.ratio_per_epoch * schedule.epochs))
-    target_total = min(target_total, ledger.candidates(protected).size)
+    target_total = min(target_total, ledger.candidates().size)
 
     n = len(windows)
     batches_per_epoch = max(1, math.ceil(n / schedule.batch_size))
@@ -353,12 +351,12 @@ def progressive_prune(model: Forecaster, windows: WindowSet,
             if bad.size:
                 raise PruneDivergedError(
                     f"non-finite importance score at prune batch {j} for "
-                    f"{bad.size} channel(s), first {ledger.refs[bad[0]]}; "
+                    f"{bad.size} channel(s), first {ledger.ref(bad[0])}; "
                     f"batch loss {grads.loss}")
             ema_update(ledger, scores)
             ledger.batch_count += 1
             k_eff = min(k, target_total - removed)
-            pruned = prune_step(ledger, model, k_eff, protected)
+            pruned = prune_step(ledger, model, k_eff)
             removed += len(pruned)
             trace.append(BatchRecord(j, grads.loss, pruned, ledger.alive_count()))
             if removed >= target_total:
@@ -374,8 +372,7 @@ def progressive_prune(model: Forecaster, windows: WindowSet,
 
 
 def prune_stat(model: Forecaster, head_stats, act_stats,
-               head_threshold: float, act_threshold: float,
-               ledger: ImportanceLedger | None = None) -> list[ChannelRef]:
+               head_threshold: float, act_threshold: float) -> list[ChannelRef]:
     """Threshold pruning from forward statistics (strict inequality).
 
     Heads whose mean relative output norm is below the threshold lose their
@@ -390,14 +387,11 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
     pruned: list[ChannelRef] = []
 
     def kill(layer, side: str, index: int):
-        ref = ChannelRef(layer.layer_id, side, index)
         mask = layer.m_in if side == "input" else layer.m_out
         if mask[index] == 0.0:
             return
         mask[index] = 0.0
-        pruned.append(ref)
-        if ledger is not None:
-            ledger.alive[ledger.index[ref]] = False
+        pruned.append(ChannelRef(layer.layer_id, side, index))
 
     for li, block in enumerate(model.blocks):
         layer_stats = head_stats[li]
@@ -414,13 +408,10 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
     return pruned
 
 
-def oracle_importance(model: Forecaster, windows: WindowSet | tuple,
+def oracle_importance(model: Forecaster, windows: WindowSet,
                       ref: ChannelRef) -> float:
     """Brute-force importance: |L(mask with channel zeroed) − L(mask)|."""
-    if isinstance(windows, WindowSet):
-        contexts, targets = windows.contexts, windows.targets
-    else:
-        contexts, targets = windows
+    contexts, targets = windows.contexts, windows.targets
     layer = model.layer_by_id(ref.layer_id)
     mask = layer.m_in if ref.side == "input" else layer.m_out
     base = batch_loss(model, contexts, targets)[0]

@@ -27,7 +27,7 @@ from .model import (Block, Forecaster, ForecasterBase, ForecasterConfig,
                     ForwardContext, ForwardPass, MaskedLinear, NormParams)
 
 
-def _binary_or_raise(layer: MaskedLinear) -> None:
+def require_binary(layer: MaskedLinear) -> None:
     for name, m in (("m_in", layer.m_in), ("m_out", layer.m_out)):
         if not np.isin(m, (0.0, 1.0)).all():
             raise ValueError(f"{layer.layer_id}.{name} is not binary; freeze masks "
@@ -47,7 +47,7 @@ class SlicedLinear:
     """Compact storage of one masked layer: only surviving entries remain."""
 
     def __init__(self, layer: MaskedLinear):
-        _binary_or_raise(layer)
+        require_binary(layer)
         self.layer_id = layer.layer_id
         self.in_idx = _alive(layer.m_in)
         self.out_idx = _alive(layer.m_out)
@@ -214,13 +214,3 @@ class SlicedForecaster(ForecasterBase):
 def slice_pruned(model: Forecaster) -> SlicedForecaster:
     """Physically remove masked channels; forward stays exact to the masked model."""
     return SlicedForecaster(model)
-
-
-def index_maps(model: Forecaster) -> dict:
-    """Surviving-channel index maps per layer, derived from the binary masks."""
-    out = {}
-    for layer in model.linears():
-        _binary_or_raise(layer)
-        out[layer.layer_id] = {"in": _alive(layer.m_in).tolist(),
-                               "out": _alive(layer.m_out).tolist()}
-    return out

@@ -51,14 +51,12 @@ class EvalReport:
     n_windows: int
     inference_seconds: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {"horizon": self.horizon, "mse": self.mse, "mae": self.mae,
-               "normalized": self.normalized,
-               "param_fraction": self.param_fraction,
-               "n_windows": self.n_windows}
-        if include_timing:
-            out["inference_seconds"] = self.inference_seconds
-        return out
+    def to_dict(self) -> dict:
+        """Every field but the timing, which varies from run to run."""
+        return {"horizon": self.horizon, "mse": self.mse, "mae": self.mae,
+                "normalized": self.normalized,
+                "param_fraction": self.param_fraction,
+                "n_windows": self.n_windows}
 
 
 class Sgd:

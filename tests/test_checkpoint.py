@@ -5,11 +5,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecast.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   save_checkpoint)
-from prunecast.errors import (CheckpointChecksumError, CheckpointFormatError,
-                              CheckpointTruncatedError, CheckpointVersionError)
+from prunecast.errors import (CheckpointChecksumError, CheckpointError,
+                              CheckpointFormatError, CheckpointTruncatedError,
+                              CheckpointVersionError, PrunecastError)
 from prunecast.model import Forecaster
 from prunecast.pruning import ImportanceLedger, PruneSchedule, progressive_prune
 
@@ -55,6 +58,11 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.ledger.alive, pruned_model.ledger.alive)
         assert loaded.ledger.alpha == pruned_model.ledger.alpha
         assert loaded.ledger.batch_count == pruned_model.ledger.batch_count
+
+    def test_non_binary_mask_is_not_saved(self, pruned_model):
+        pruned_model.blocks[0].ffn_up.m_out[0] = 0.5  # would be written as 0
+        with pytest.raises(ValueError, match="not binary"):
+            checkpoint_bytes(pruned_model)
 
     def test_model_without_ledger(self, tmp_path):
         model = Forecaster(tiny_config(), seed=1)
@@ -126,6 +134,15 @@ def _drop(path):
     return edit
 
 
+def _reverse(path):
+    def edit(header):
+        node = header
+        for key in path:
+            node = node[key]
+        node.reverse()
+    return edit
+
+
 def _drop_tensor(name):
     def edit(header):
         header["tensors"] = [t for t in header["tensors"] if t["name"] != name]
@@ -157,7 +174,32 @@ HEADER_EDITS = {
     "mask-not-binary": (_set(["layers", 1, "m_in"], [2] * 8), "must be 8 bits of 0 or 1"),
     "ledger-no-refs": (_drop(["ema", "refs"]), "header ema lacks refs"),
     "ledger-bad-ref": (_set(["ema", "refs", 0], "embed"), "bad ledger"),
-    "ledger-short-ema": (_set(["ema", "ema"], [0.5]), "ledger arrays do not match"),
+    "ledger-short-ema": (_set(["ema", "ema"], [0.5]), "ema: must be 250 finite numbers >= 0"),
+    # a stored ledger must be the model's channel layout and masks
+    "ledger-unknown-layer": (_set(["ema", "refs", 5], "block7.attn.q:input:0"),
+                             "refs: must name the model's 250 channels in order"),
+    "ledger-refs-reversed": (_reverse(["ema", "refs"]), "refs: must name"),
+    "ledger-alive-vs-masks": (_set(["ema", "alive", 0], 0),
+                              "alive: must be the masks, as 250 ints of 0 or 1"),
+    "ledger-alive-not-list": (_set(["ema", "alive"], 7), "alive: must be the masks"),
+    "ledger-alive-bool": (_set(["ema", "alive", 0], True), "alive: must be the masks"),
+    "ledger-alive-two": (_set(["ema", "alive", 0], 2), "alive: must be the masks"),
+    "ledger-ema-null": (_set(["ema", "ema", 3], None), "ema: must be 250 finite numbers >= 0"),
+    "ledger-ema-negative": (_set(["ema", "ema", 3], -0.5), "ema: must be 250 finite"),
+    "ledger-ema-nan": (_set(["ema", "ema", 3], float("nan")), "ema: must be 250 finite"),
+    "ledger-ema-huge-int": (_set(["ema", "ema", 3], 10 ** 400), "ema: must be 250 finite"),
+    "ledger-last-raw-null": (_set(["ema", "last_raw", 3], None),
+                             "last_raw: must be 250 finite"),
+    "ledger-last-raw-inf": (_set(["ema", "last_raw", 3], float("inf")),
+                            "last_raw: must be 250 finite"),
+    "ledger-count-str": (_set(["ema", "batch_count"], "abc"), "batch_count: must be an int"),
+    "ledger-count-negative": (_set(["ema", "batch_count"], -5), "batch_count: must be an int"),
+    "ledger-count-bool": (_set(["ema", "batch_count"], True), "batch_count: must be an int"),
+    "ledger-alpha-bool": (_set(["ema", "alpha"], True), "alpha: must be a number in (0, 1]"),
+    "ledger-alpha-zero": (_set(["ema", "alpha"], 0.0), "alpha: must be a number"),
+    "ledger-alpha-str": (_set(["ema", "alpha"], "0.5"), "alpha: must be a number"),
+    "config-beyond-payload": (_set(["config", "d_model"], 4096),
+                              "config needs 134520832 weights, the payload holds 1262"),
 }
 
 
@@ -179,3 +221,78 @@ class TestHeaderEdits:
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(str(path))
         assert needle in str(err.value)
+
+    def test_shape_product_beyond_int64_fails_closed(self, tmp_path, pruned_model):
+        path = tmp_path / "edited.ckpt"
+        edit = _set(["tensors", 0, "shape"], [4096] * 10)  # 2**120 wraps to 0 in int64
+        path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model), edit))
+        with pytest.raises(CheckpointError, match="embed.w"):
+            load_checkpoint(str(path))
+
+
+# Integers stay small enough that any model a header can describe within its
+# payload is cheap to build and run; text uses a fixed alphabet.
+KEY_TEXT = st.text("abeimnoqtu.:_019", max_size=12)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(KEY_TEXT, inner, max_size=3)
+
+
+json_values = st.recursive(st.none() | st.booleans() | st.integers(-2 ** 12, 2 ** 12)
+                           | st.floats() | KEY_TEXT, json_containers, max_leaves=6)
+
+
+@st.composite
+def header_edits(draw, header):
+    """A path from one header section down to a drawn depth, and a new value."""
+    path = [draw(st.sampled_from(["ema", "layers", "tensors", "config"]))]
+    node = header[path[0]]
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path, draw(json_values)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    model = Forecaster(tiny_config(layers=1), seed=3)
+    schedule = PruneSchedule(ratio_per_epoch=0.05, epochs=1, batch_size=64, seed=0)
+    progressive_prune(model, training_windows(), schedule, alpha=0.5)
+    blob = checkpoint_bytes(model)
+    head_len = int.from_bytes(blob[8:12], "little")
+    return blob, json.loads(blob[12:12 + head_len]), tmp_path_factory.mktemp("prop")
+
+
+def _fails_closed_or_round_trips(path, resaved):
+    """A load either raises a package error or gives a model whose re-save
+    loads to the same bytes and identical predictions."""
+    try:
+        model = load_checkpoint(str(path))
+    except PrunecastError:
+        return
+    save_checkpoint(model, str(resaved))
+    again = load_checkpoint(str(resaved))
+    assert checkpoint_bytes(again) == resaved.read_bytes()
+    windows = np.random.default_rng(0).normal(0, 1, (2, model.cfg.context_len))
+    assert np.array_equal(again.predict(windows), model.predict(windows))
+
+
+class TestHeaderProperty:
+    @given(data=st.data())
+    def test_edited_header_fails_closed_or_round_trips(self, saved, data):
+        blob, header, root = saved
+        keys, value = data.draw(header_edits(header))
+        path = root / "edited.ckpt"
+        path.write_bytes(rewrite_header(blob, _set(keys, value)))
+        _fails_closed_or_round_trips(path, root / "resaved.ckpt")
+
+    @given(data=st.data())
+    def test_truncated_file_fails_closed(self, saved, data):
+        blob, _, root = saved
+        path = root / "cut.ckpt"
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))

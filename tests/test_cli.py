@@ -244,6 +244,22 @@ class TestCommands:
         assert err.startswith(f"error: {bad}: ")
         assert not (tmp_path / "ev" / "eval_report.json").exists()
 
+    def test_finetune_on_ledger_off_the_model_fails_closed(self, pipeline, tmp_path, capsys):
+        from test_checkpoint import rewrite_header
+
+        root, cfg_path, ckpt = pipeline
+        run("prune", "--config", cfg_path, "--checkpoint", ckpt,
+            "--out", str(tmp_path / "p"))
+        pruned = (tmp_path / "p" / "pruned_alpha0.5.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_header(pruned, lambda h: h["ema"]["refs"].reverse()))
+        capsys.readouterr()
+        rc = main(["finetune", "--config", cfg_path, "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "ft")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: bad ledger: refs: ")
+        assert not (tmp_path / "ft" / "finetuned.ckpt").exists()
+
     def test_checkpoint_config_mismatch_is_explicit(self, pipeline, tmp_path):
         root, cfg_path, ckpt = pipeline
         cfg = json.loads((root / "cfg.json").read_text())

@@ -13,7 +13,7 @@ from prunecast.data import WindowSet, synth_dataset, make_windows, SplitSpec
 from prunecast.errors import ConfigError, PrunecastError, PruneDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
 from prunecast.pruning import (ChannelRef, ImportanceLedger, PerSampleGrads,
-                               PruneSchedule, default_protected, ema_update,
+                               PruneSchedule, ema_update,
                                oracle_importance, per_sample_grads,
                                progressive_prune, prune_stat, prune_step,
                                raw_importance, taylor2_importance)
@@ -28,6 +28,12 @@ def small_windows(model, n, rng):
         + np.sin(np.arange(model.cfg.context_len) * 0.3)
     targets = rng.normal(0, 1, (n, model.cfg.horizon))
     return WindowSet(contexts, targets, np.zeros(n, dtype=np.intp), ["c"])
+
+
+def protected_refs(model):
+    """I/O-arity channels exempt from pruning: embed inputs, head outputs."""
+    out = {ChannelRef("embed", "input", i) for i in range(model.embed.d_in)}
+    return out | {ChannelRef("head", "output", j) for j in range(model.head.d_out)}
 
 
 def training_windows(n_points=400, channels=2, seed=3, L=24, hz=6):
@@ -209,7 +215,7 @@ def full_tape_per_sample_grads(model, contexts, targets):
 
 
 def prune_at_random(model, rng, fraction=0.3):
-    protected = default_protected(model)
+    protected = protected_refs(model)
     for layer in model.linears():
         for side, mask in (("input", layer.m_in), ("output", layer.m_out)):
             for i in np.flatnonzero(rng.random(mask.size) < fraction):
@@ -271,18 +277,19 @@ class TestLedgerIndexArrays:
         return Forecaster(tiny_config(layers=11, d_model=4, d_ffn=4, heads=2,
                                       context_len=8, patch_len=4, horizon=2), seed=2)
 
-    def tied_ledger(self, model, rng, shuffle):
+    def tied_ledger(self, model, rng, source):
+        for layer in model.linears():
+            for mask in (layer.m_in, layer.m_out):
+                mask[rng.random(mask.size) < 0.2] = 0.0
         ledger = ImportanceLedger.from_model(model, alpha=0.5)
-        if shuffle:  # a ledger read back from a file need not be in layer order
-            refs = [ledger.refs[i] for i in rng.permutation(len(ledger.refs))]
-            ledger = ImportanceLedger(refs, alpha=0.5)
         ledger.ema[:] = rng.integers(0, 3, len(ledger.refs)) * 0.25
-        ledger.alive[rng.random(len(ledger.refs)) < 0.2] = False
+        if source == "from-dict":  # the ledger a checkpoint load rebuilds
+            ledger = ImportanceLedger.from_dict(ledger.to_dict(), model)
         return ledger
 
-    @pytest.mark.parametrize("shuffle", [False, True], ids=["model-order", "shuffled"])
-    def test_stacked_equals_per_ref_columns(self, eleven_blocks, rng, shuffle):
-        ledger = self.tied_ledger(eleven_blocks, rng, shuffle)
+    @pytest.mark.parametrize("source", ["model-order", "from-dict"])
+    def test_stacked_equals_per_ref_columns(self, eleven_blocks, rng, source):
+        ledger = self.tied_ledger(eleven_blocks, rng, source)
         arrays = {}
         for layer in eleven_blocks.linears():
             arrays[(layer.layer_id, "input")] = rng.normal(size=(3, layer.d_in))
@@ -292,23 +299,33 @@ class TestLedgerIndexArrays:
                              for r in ledger.refs], axis=1)
         assert np.array_equal(grads.stacked(ledger), expected)
 
-    @pytest.mark.parametrize("shuffle", [False, True], ids=["model-order", "shuffled"])
-    def test_prune_step_equals_tuple_sort_under_ties(self, eleven_blocks, rng, shuffle):
+    @pytest.mark.parametrize("source", ["model-order", "from-dict"])
+    def test_prune_step_equals_tuple_sort_under_ties(self, eleven_blocks, rng, source):
         model = eleven_blocks
-        ledger = self.tied_ledger(model, rng, shuffle)
-        protected = default_protected(model)
-        layer_ids = {r.layer_id for r in ledger.refs}
-        assert {"block1.attn.q", "block10.attn.q", "embed", "head"} <= layer_ids
-        k = len(ledger.candidates(protected)) // 2
+        ledger = self.tied_ledger(model, rng, source)
+        protected = protected_refs(model)
+        position = {r: i for i, r in enumerate(ledger.refs)}
+        assert {"block1.attn.q", "block10.attn.q", "embed", "head"} <= {
+            r.layer_id for r in position}
+        k = len(ledger.candidates()) // 2
         expected = tuple_sort_prune(ledger, k, protected)
-        tied = {float(ledger.ema[ledger.index[r]]) for r in expected}
+        tied = {float(ledger.ema[position[r]]) for r in expected}
         assert len(tied) < k  # the ties decide most of the order
-        pruned = prune_step(ledger, model, k, protected)
+        pruned = prune_step(ledger, model, k)
         assert pruned == expected
         for ref in pruned:
-            assert not ledger.alive[ledger.index[ref]]
+            assert not ledger.alive[position[ref]]
             layer = model.layer_by_id(ref.layer_id)
             assert (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] == 0.0
+
+    def test_refs_rank_and_protected_follow_the_layout(self, eleven_blocks):
+        ledger = ImportanceLedger.from_model(eleven_blocks, alpha=0.5)
+        refs = ledger.refs
+        assert [ledger.ref(i) for i in range(len(refs))] == refs
+        assert ledger.names() == [str(r) for r in refs]
+        assert list(np.argsort(ledger.rank)) == sorted(range(len(refs)), key=refs.__getitem__)
+        protected = protected_refs(eleven_blocks)
+        assert list(ledger.protected) == [i for i, r in enumerate(refs) if r in protected]
 
     def test_non_finite_score_names_the_batch(self):
         model = Forecaster(tiny_config(), seed=3)
@@ -359,34 +376,30 @@ class TestTapesFreedWithoutGc:
 
 class TestEmaAndPruneStep:
     def test_ema_recurrence(self):
-        ledger = ImportanceLedger([ChannelRef("l", "input", 0)], alpha=0.5)
+        ledger = ImportanceLedger([("l", "input", 1)], alpha=0.5)
         ledger.ema[0] = 0.2
         ema_update(ledger, np.array([0.4]))
         assert ledger.ema[0] == pytest.approx(0.3)
 
     def test_alpha_one_copies_raw(self):
-        ledger = ImportanceLedger([ChannelRef("l", "input", 0)], alpha=1.0)
+        ledger = ImportanceLedger([("l", "input", 1)], alpha=1.0)
         ledger.ema[0] = 0.9
         ema_update(ledger, np.array([0.4]))
         assert ledger.ema[0] == 0.4
 
     def test_first_update_scales_by_alpha(self):
-        ledger = ImportanceLedger([ChannelRef("l", "input", 0)], alpha=0.3)
+        ledger = ImportanceLedger([("l", "input", 1)], alpha=0.3)
         ema_update(ledger, np.array([1.0]))
         assert ledger.ema[0] == pytest.approx(0.3)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha"):
-            ImportanceLedger([ChannelRef("l", "input", 0)], alpha=0.0)
-        ledger = ImportanceLedger([ChannelRef("l", "input", 0)], alpha=0.5)
-        with pytest.raises(ConfigError, match="alpha"):
-            ema_update(ledger, np.array([1.0]), alpha=1.5)
+            ImportanceLedger([("l", "input", 1)], alpha=0.0)
 
     def test_prune_step_takes_lowest(self):
         model = Forecaster(tiny_config(layers=1), seed=0)
         layer = model.blocks[0].ffn_up
-        refs = [ChannelRef(layer.layer_id, "output", i) for i in range(4)]
-        ledger = ImportanceLedger(refs, alpha=0.5)
+        ledger = ImportanceLedger([(layer.layer_id, "output", 4)], alpha=0.5)
         ledger.ema[:] = [0.5, 0.1, 0.3, 0.1]
         pruned = prune_step(ledger, model, 2)
         assert {r.index for r in pruned} == {1, 3}
@@ -404,12 +417,12 @@ class TestEmaAndPruneStep:
         ledger.ema[:] = rng.random(len(ledger.refs))
         dead = rng.choice(len(ledger.refs), 30, replace=False)
         ledger.alive[dead] = False
-        protected = default_protected(model)
+        protected = protected_refs(model)
 
         expected = sorted(
             ((ledger.ema[i], r) for i, r in enumerate(ledger.refs)
              if ledger.alive[i] and r not in protected))[:17]
-        pruned = prune_step(ledger, model, 17, protected)
+        pruned = prune_step(ledger, model, 17)
         assert pruned == [r for _, r in expected]
 
     def test_prune_step_too_large(self):
@@ -447,7 +460,7 @@ class TestProgressive:
         deltas = {}
         ledger0 = ImportanceLedger.from_model(model, alpha=0.5)
         for ref in ledger0.refs:
-            if ref not in default_protected(model):
+            if ref not in protected_refs(model):
                 deltas[ref] = oracle_importance(model, eval_ws, ref)
         for ref in dead_refs:
             assert deltas[ref] <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prunecast.model import Forecaster
-from prunecast.slicing import index_maps, slice_pruned
+from prunecast.slicing import slice_pruned
 
 from test_model import tiny_config
 
@@ -127,14 +127,6 @@ class TestSlicing:
         model.blocks[0].ffn_up.m_out[0] = 0.5
         with pytest.raises(ValueError, match="not binary"):
             slice_pruned(model)
-
-    def test_index_maps_reflect_masks(self):
-        model = Forecaster(tiny_config(layers=1), seed=0)
-        model.blocks[0].ffn_up.m_out[[1, 3]] = 0.0
-        maps = index_maps(model)
-        up = maps["block0.ffn.up"]
-        assert 1 not in up["out"] and 3 not in up["out"]
-        assert up["in"] == list(range(model.cfg.d_model))
 
     def test_write_back_updates_only_surviving_coords(self, rng):
         model = Forecaster(tiny_config(layers=1), seed=4)
