@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end pipeline through the CLI: pretrain -> analyze -> prune ->
 # finetune -> eval -> bench -> transfer. Everything lands under demo_out/cli.
+# Run it from the repository root; without an install, with PYTHONPATH=src.
 set -euo pipefail
 
 OUT=demo_out/cli
@@ -34,13 +35,13 @@ PY
 
 export PRUNECAST_THREADS=${PRUNECAST_THREADS:-2}
 
-prunecast pretrain --config "$OUT/run.json"
-prunecast analyze  --config "$OUT/task_a.json" --checkpoint "$OUT/pretrain/model.ckpt" --out "$OUT/analyze"
-prunecast prune    --config "$OUT/task_a.json" --checkpoint "$OUT/pretrain/model.ckpt" --out "$OUT/prune"
-prunecast finetune --config "$OUT/task_a.json" --checkpoint "$OUT/prune/pruned_alpha0.5.ckpt" --out "$OUT/finetune"
-prunecast eval     --config "$OUT/task_a.json" --checkpoint "$OUT/finetune/finetuned.ckpt" --out "$OUT/eval"
-prunecast bench    --config "$OUT/task_a.json" --checkpoint "$OUT/finetune/finetuned.ckpt" --out "$OUT/bench"
-prunecast transfer --config "$OUT/sibling.json" --checkpoint "$OUT/prune/pruned_alpha0.5.ckpt" --out "$OUT/transfer"
+python3 -m prunecast.cli pretrain --config "$OUT/run.json"
+python3 -m prunecast.cli analyze  --config "$OUT/task_a.json" --checkpoint "$OUT/pretrain/model.ckpt" --out "$OUT/analyze"
+python3 -m prunecast.cli prune    --config "$OUT/task_a.json" --checkpoint "$OUT/pretrain/model.ckpt" --out "$OUT/prune"
+python3 -m prunecast.cli finetune --config "$OUT/task_a.json" --checkpoint "$OUT/prune/pruned_alpha0.5.ckpt" --out "$OUT/finetune"
+python3 -m prunecast.cli eval     --config "$OUT/task_a.json" --checkpoint "$OUT/finetune/finetuned.ckpt" --out "$OUT/eval"
+python3 -m prunecast.cli bench    --config "$OUT/task_a.json" --checkpoint "$OUT/finetune/finetuned.ckpt" --out "$OUT/bench"
+python3 -m prunecast.cli transfer --config "$OUT/sibling.json" --checkpoint "$OUT/prune/pruned_alpha0.5.ckpt" --out "$OUT/transfer"
 
 echo
 echo "== eval report =="

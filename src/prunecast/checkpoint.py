@@ -9,16 +9,15 @@ everything preceding it. Round-trips are byte-exact.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import zlib
 
 import numpy as np
 
-from .errors import (CheckpointChecksumError, CheckpointFormatError,
+from .errors import (CheckpointChecksumError, CheckpointError, CheckpointFormatError,
                      CheckpointTruncatedError, CheckpointVersionError, ConfigError)
-from .model import SIZE_KEYS, Forecaster, ForecasterConfig, config_problems
+from .model import Forecaster, ForecasterConfig, config_problems
 from .pruning import ImportanceLedger
 from .slicing import require_binary
 
@@ -62,23 +61,6 @@ LAYER_KEYS = ("id", "m_in", "m_out")
 LEDGER_KEYS = ("alpha", "batch_count", "refs", "ema", "last_raw", "alive")
 
 
-def _header_config_problems(cfg) -> list[str]:
-    """Every missing, unknown, mistyped or out-of-range header config value."""
-    if not isinstance(cfg, dict):
-        return [f"config must be an object, got {type(cfg).__name__}"]
-    fields = {f.name: f for f in dataclasses.fields(ForecasterConfig)}
-    out = [f"config.{k}: missing" for k, f in fields.items()
-           if k not in cfg and f.default is dataclasses.MISSING]
-    out += [f"config.{k}: unknown key" for k in cfg if k not in fields]
-    for k, v in cfg.items():
-        if k not in fields:
-            continue
-        want = int if k in SIZE_KEYS else str
-        if not isinstance(v, want) or isinstance(v, bool):
-            out.append(f"config.{k}: expected {want.__name__}, got {type(v).__name__}")
-    return out + config_problems(cfg)
-
-
 def _require_keys(path: str, where: str, spec, keys: tuple[str, ...]) -> None:
     if not isinstance(spec, dict):
         raise CheckpointFormatError(f"{path}: {where} must be an object, "
@@ -98,13 +80,17 @@ def _check_shape(path: str, name, shape) -> None:
 def load_checkpoint(path: str) -> Forecaster:
     """Rebuild the model (and its ledger, when present) from a checkpoint.
 
-    Fails closed: a header that lacks a key, names an unknown, duplicate or
-    missing tensor or layer, carries a mistyped or out-of-range config, or
-    holds a ledger that does not fit the model's channels and masks raises
+    Fails closed: a path that cannot be read raises ``CheckpointError``; a
+    header that lacks a key, names an unknown, duplicate or missing tensor or
+    layer, carries a bad config (``model.config_problems``), or holds a ledger
+    that does not fit the model's channels and masks raises
     ``CheckpointFormatError``.
     """
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(data) < len(MAGIC) + 4 + 4:
         raise CheckpointTruncatedError(f"{path}: {len(data)} bytes is shorter than "
                                        "the fixed framing")
@@ -129,10 +115,10 @@ def load_checkpoint(path: str) -> Forecaster:
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
 
     _require_keys(path, "header", header, HEADER_KEYS)
-    problems = _header_config_problems(header["config"])
+    problems = config_problems(header["config"], where="config")
     if problems:
         raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
-    cfg = ForecasterConfig.from_dict(header["config"])
+    cfg = ForecasterConfig(**header["config"])
     payload = data[12 + head_len:-4]
     # checked before the model is built, so a config far larger than the
     # file allocates nothing

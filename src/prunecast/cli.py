@@ -34,17 +34,9 @@ def _apply_thread_cap() -> None:
 
 _NUM = (int, float)
 
-# section -> key -> (types, required, default)
+# section -> key -> (types, required, default); the model section is checked
+# by model.config_problems and defaulted by ForecasterConfig
 _SCHEMA = {
-    "model": {
-        "layers": (int, True, None), "heads": (int, True, None),
-        "d_model": (int, True, None), "d_ffn": (int, True, None),
-        "patch_len": (int, True, None), "context_len": (int, True, None),
-        "horizon": (int, True, None),
-        "norm": (str, False, "layernorm"),
-        "activation": (str, False, "gelu"),
-        "attention": (str, False, "bidirectional"),
-    },
     "data": {
         "csv": (str, False, None), "synth": (dict, False, None),
         "schema": (dict, False, None),
@@ -101,19 +93,27 @@ def _check_section(name: str, raw: dict, schema: dict, errors: list[str]) -> dic
     return out
 
 
+def _below_minimum(key: str, value, low: int) -> list[str]:
+    """The problem with an int below ``low``; the type is checked elsewhere."""
+    if isinstance(value, int) and not isinstance(value, bool) and value < low:
+        return [f"{key}: must be an int >= {low}, got {value}"]
+    return []
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize a run config, rejecting unknown keys; lists every violation."""
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = set(_SCHEMA) | {"out_dir", "seed"}
+    known = set(_SCHEMA) | {"model", "out_dir", "seed"}
     for key in raw:
         if key not in known:
             errors.append(f"unknown top-level key {key!r}")
 
     cfg: dict = {"seed": raw.get("seed", 0)}
-    if not isinstance(cfg["seed"], int):
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
         errors.append("seed: expected an int")
+    errors.extend(_below_minimum("seed", cfg["seed"], 0))
     if "out_dir" not in raw:
         errors.append("out_dir: missing required key")
     elif not isinstance(raw["out_dir"], str):
@@ -121,6 +121,14 @@ def validate_config(raw: dict) -> dict:
     else:
         cfg["out_dir"] = raw["out_dir"]
 
+    cfg["model"] = None
+    if "model" in raw:
+        from .model import ForecasterConfig, config_problems
+
+        problems = config_problems(raw["model"])
+        errors.extend(problems)
+        if not problems:
+            cfg["model"] = ForecasterConfig(**raw["model"]).to_dict()
     for section, schema in _SCHEMA.items():
         if section not in raw:
             cfg[section] = None
@@ -139,10 +147,12 @@ def validate_config(raw: dict) -> dict:
             data["split"] = _check_section("data.split", data["split"],
                                            _SPLIT_SCHEMA, errors)
             errors.extend(split_problems(data["split"]))
-        if data.get("synth") is not None:
-            data["synth"] = _check_section("data.synth", data["synth"],
-                                           _SYNTH_SCHEMA, errors)
-        if data.get("schema") is not None:
+        if isinstance(data.get("synth"), dict):
+            synth = data["synth"] = _check_section("data.synth", data["synth"],
+                                                   _SYNTH_SCHEMA, errors)
+            for key, low in (("seed", 0), ("n_points", 1), ("n_channels", 1)):
+                errors.extend(_below_minimum(f"data.synth.{key}", synth.get(key), low))
+        if isinstance(data.get("schema"), dict):
             data["schema"] = _check_section("data.schema", data["schema"],
                                             _DATA_SCHEMA_SCHEMA, errors)
         if (data.get("csv") is None) == (data.get("synth") is None):
@@ -150,13 +160,16 @@ def validate_config(raw: dict) -> dict:
         if data.get("channels") is not None and data.get("channel_prefix") is not None:
             errors.append("data: channels and channel_prefix are mutually exclusive")
 
-    if cfg.get("model"):
-        from .model import config_problems
-
-        errors.extend(config_problems(cfg["model"]))
     prune = cfg.get("prune")
     if prune and prune["variant"] not in _VARIANTS:
         errors.append(f"prune.variant: must be one of {_VARIANTS}")
+    if prune and isinstance(prune["alpha"], (int, float, list)):
+        alphas = prune["alpha"] if isinstance(prune["alpha"], list) else [prune["alpha"]]
+        if not alphas:
+            errors.append("prune.alpha: the list must not be empty")
+        # type() rather than isinstance(): a bool is mistyped
+        errors.extend(f"prune.alpha: {a!r} is not a number in (0, 1]" for a in alphas
+                      if type(a) not in (int, float) or not 0 < a <= 1)
     train = cfg.get("train")
     if train and train["mode"] not in _MODES:
         errors.append(f"train.mode: must be one of {_MODES}")
@@ -172,24 +185,24 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, seed: int | None = None) -> dict:
+    """Read and validate a run config; ``seed``, when given, replaces the
+    config's seed before validation."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return validate_config(raw)
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-def _require(cfg: dict, *sections: str) -> None:
-    missing = [s for s in sections if cfg.get(s) is None]
-    if missing:
-        raise ConfigError(f"this command needs config section(s): {', '.join(missing)}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -213,8 +226,10 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) ->
     _write_json(out / "manifest.json", manifest)
 
 
-def _build_table(data_cfg: dict):
-    from .data import load_csv, synth_dataset
+def _windows(data_cfg: dict, mc, parts: tuple[str, ...]) -> dict:
+    """Build the data table once and cut every named part from it, windowed
+    for the model config ``mc``."""
+    from .data import SplitSpec, load_csv, make_windows, synth_dataset
 
     if data_cfg.get("csv"):
         table = load_csv(data_cfg["csv"], data_cfg.get("schema"))
@@ -224,28 +239,19 @@ def _build_table(data_cfg: dict):
                               (synth["n_points"], synth["n_channels"]),
                               ar_coeff=synth["ar_coeff"])
     if data_cfg.get("channels"):
+        unknown = [n for n in data_cfg["channels"] if n not in table.names]
+        if unknown:
+            raise ConfigError(f"data.channels: no such channels {unknown}")
         table = table.select(data_cfg["channels"])
     elif data_cfg.get("channel_prefix"):
         names = [n for n in table.names if n.startswith(data_cfg["channel_prefix"])]
         if not names:
             raise ConfigError(f"no channels match prefix {data_cfg['channel_prefix']!r}")
         table = table.select(names)
-    return table
-
-
-def _split_spec(data_cfg: dict, context_len: int, horizon: int):
-    from .data import SplitSpec
-
     s = data_cfg["split"]
-    return SplitSpec(s["train"], s["val"], s["test"], context_len=context_len,
-                     horizon=horizon, stride=s["stride"])
-
-
-def _windows(cfg: dict, context_len: int, horizon: int, part: str):
-    from .data import make_windows
-
-    table = _build_table(cfg["data"])
-    return make_windows(table, _split_spec(cfg["data"], context_len, horizon), part)
+    spec = SplitSpec(s["train"], s["val"], s["test"], context_len=mc.context_len,
+                     horizon=mc.horizon, stride=s["stride"])
+    return {part: make_windows(table, spec, part) for part in parts}
 
 
 def _train_config(cfg: dict):
@@ -260,60 +266,44 @@ def _train_config(cfg: dict):
 
 def _load_model(checkpoint: str, cfg: dict):
     from .checkpoint import load_checkpoint
-    from .model import ForecasterConfig
 
     model = load_checkpoint(checkpoint)
-    if cfg.get("model") is not None:
-        wanted = ForecasterConfig(**cfg["model"]).to_dict()
-        if wanted != model.cfg.to_dict():
-            raise ConfigError(
-                "checkpoint/model config mismatch: checkpoint was built with "
-                f"{model.cfg.to_dict()}, config asks for {wanted}")
+    if cfg["model"] is not None and cfg["model"] != model.cfg.to_dict():
+        raise ConfigError(
+            "checkpoint/model config mismatch: checkpoint was built with "
+            f"{model.cfg.to_dict()}, config asks for {cfg['model']}")
     return model
 
 
-def _model_config(cfg: dict):
-    from .model import ForecasterConfig
-
-    return ForecasterConfig(**cfg["model"])
-
-
 # ------------------------------------------------------------------ commands
+#
+# Each command takes the validated config, the output directory, the model
+# and the windows ``main`` cut for it (part name -> WindowSet). It writes its
+# artifacts and returns their names together with any timing fields beyond
+# ``wall_seconds`` for timings.json.
 
 
-def cmd_pretrain(cfg: dict, out: Path) -> list[str]:
+def cmd_pretrain(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
     from .checkpoint import save_checkpoint
-    from .model import Forecaster
     from .training import evaluate, finetune
 
-    _require(cfg, "model", "data", "train")
-    t0 = time.perf_counter()
-    mc = _model_config(cfg)
-    train_ws = _windows(cfg, mc.context_len, mc.horizon, "train")
-    val_ws = _windows(cfg, mc.context_len, mc.horizon, "val")
-    model = Forecaster(mc, seed=cfg["seed"])
-    model, history = finetune(model, train_ws, val_ws, _train_config(cfg))
+    model, history = finetune(model, ws["train"], ws["val"], _train_config(cfg))
     save_checkpoint(model, str(out / "model.ckpt"))
     report = {"history": history,
-              "val_mse": evaluate(model, val_ws,
+              "val_mse": evaluate(model, ws["val"],
                                   cfg["train"]["normalized_metrics"]).mse,
               "param_fraction": model.param_fraction()}
     _write_json(out / "pretrain_report.json", report)
-    _write_json(out / "timings.json", {"wall_seconds": time.perf_counter() - t0})
-    return ["model.ckpt", "pretrain_report.json"]
+    return ["model.ckpt", "pretrain_report.json"], {}
 
 
-def cmd_analyze(cfg: dict, out: Path, checkpoint: str) -> list[str]:
+def cmd_analyze(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
     from .analysis import (collect_activation_probs, collect_head_norms,
                            sparse_channel_fraction, write_ffn_probs_csv,
                            write_head_norms_csv, write_magnitude_cdf_csv)
 
-    _require(cfg, "data")
-    t0 = time.perf_counter()
-    model = _load_model(checkpoint, cfg)
-    ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "train")
-    head_stats = collect_head_norms(model, ws)
-    act_stats = collect_activation_probs(model, ws)
+    head_stats = collect_head_norms(model, ws["train"])
+    act_stats = collect_activation_probs(model, ws["train"])
     write_head_norms_csv(str(out / "head_norms.csv"), head_stats)
     write_ffn_probs_csv(str(out / "ffn_probs.csv"), act_stats)
     write_magnitude_cdf_csv(str(out / "magnitude_cdf.csv"), model, "element")
@@ -323,9 +313,8 @@ def cmd_analyze(cfg: dict, out: Path, checkpoint: str) -> list[str]:
         "skipped_tokens": [s.skipped for s in head_stats],
     }
     _write_json(out / "analysis_summary.json", summary)
-    _write_json(out / "timings.json", {"wall_seconds": time.perf_counter() - t0})
     return ["head_norms.csv", "ffn_probs.csv", "magnitude_cdf.csv",
-            "analysis_summary.json"]
+            "analysis_summary.json"], {}
 
 
 def _prune_one(model, cfg: dict, alpha: float, windows):
@@ -351,25 +340,23 @@ def _prune_one(model, cfg: dict, alpha: float, windows):
     return trace
 
 
-def cmd_prune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
+def cmd_prune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
+    """Prune a fresh clone of the loaded model once per ``prune.alpha`` value."""
     import csv as csv_mod
 
     from .checkpoint import save_checkpoint
 
-    _require(cfg, "data", "prune")
-    t0 = time.perf_counter()
     alphas = cfg["prune"]["alpha"]
     if not isinstance(alphas, list):
         alphas = [alphas]
     artifacts: list[str] = []
     summary = []
     for alpha in alphas:
-        model = _load_model(checkpoint, cfg)
-        ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "train")
-        trace = _prune_one(model, cfg, float(alpha), ws)
+        pruned = model.clone()
+        trace = _prune_one(pruned, cfg, float(alpha), ws["train"])
         tag = f"alpha{alpha}"
         ckpt_name = f"pruned_{tag}.ckpt"
-        save_checkpoint(model, str(out / ckpt_name))
+        save_checkpoint(pruned, str(out / ckpt_name))
         artifacts.append(ckpt_name)
         if trace is not None:
             trace_name = f"trace_{tag}.jsonl"
@@ -379,92 +366,78 @@ def cmd_prune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
         with open(out / scores_name, "w", newline="", encoding="utf-8") as f:
             w = csv_mod.writer(f)
             w.writerow(["layer", "side", "index", "ema_score", "alive"])
-            for row in model.ledger.scores_csv_rows():
+            for row in pruned.ledger.scores_csv_rows():
                 w.writerow(row)
         artifacts.append(scores_name)
         summary.append({"alpha": alpha, "checkpoint": ckpt_name,
-                        "param_fraction": model.param_fraction(),
-                        "pruned_channels": int((~model.ledger.alive).sum())})
+                        "param_fraction": pruned.param_fraction(),
+                        "pruned_channels": int((~pruned.ledger.alive).sum())})
     _write_json(out / "prune_report.json", {"runs": summary})
     artifacts.append("prune_report.json")
-    _write_json(out / "timings.json", {"wall_seconds": time.perf_counter() - t0})
-    return artifacts
+    return artifacts, {}
 
 
-def cmd_finetune(cfg: dict, out: Path, checkpoint: str) -> list[str]:
+def cmd_finetune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
     from .checkpoint import save_checkpoint
     from .training import finetune
 
-    _require(cfg, "data", "train")
-    t0 = time.perf_counter()
-    model = _load_model(checkpoint, cfg)
-    train_ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "train")
-    val_ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "val")
-    _, history = finetune(model, train_ws, val_ws, _train_config(cfg))
+    _, history = finetune(model, ws["train"], ws["val"], _train_config(cfg))
     save_checkpoint(model, str(out / "finetuned.ckpt"))
     _write_json(out / "finetune_history.json",
                 {"history": history, "mode": cfg["train"]["mode"],
                  "param_fraction": model.param_fraction()})
-    _write_json(out / "timings.json", {"wall_seconds": time.perf_counter() - t0})
-    return ["finetuned.ckpt", "finetune_history.json"]
+    return ["finetuned.ckpt", "finetune_history.json"], {}
 
 
-def cmd_report(cfg: dict, out: Path, checkpoint: str, report: str) -> list[str]:
+def cmd_report(cfg: dict, out: Path, model, ws: dict,
+               report: str) -> tuple[list[str], dict]:
     """Evaluate on the test part; eval and transfer differ only in ``report``."""
     from .training import evaluate
 
-    _require(cfg, "data")
-    t0 = time.perf_counter()
-    model = _load_model(checkpoint, cfg)
-    ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "test")
     normalized = cfg["train"]["normalized_metrics"] if cfg.get("train") else True
-    result = evaluate(model, ws, normalized=normalized)
+    result = evaluate(model, ws["test"], normalized=normalized)
     _write_json(out / report, result.to_dict())
-    _write_json(out / "timings.json",
-                {"wall_seconds": time.perf_counter() - t0,
-                 "inference_seconds": result.inference_seconds})
-    return [report]
+    return [report], {"inference_seconds": result.inference_seconds}
 
 
-def cmd_bench(cfg: dict, out: Path, checkpoint: str,
-              repeats: int = 50, warmup: int = 3) -> list[str]:
+def cmd_bench(cfg: dict, out: Path, model, ws: dict,
+              repeats: int = 50, warmup: int = 3) -> tuple[list[str], dict]:
     from .slicing import slice_pruned
     from .training import bench_inference
 
-    _require(cfg, "data")
-    t0 = time.perf_counter()
-    model = _load_model(checkpoint, cfg)
-    ws = _windows(cfg, model.cfg.context_len, model.cfg.horizon, "test")
+    test = ws["test"]
     # all variates at one timestep form the batch
-    n_channels = len(set(ws.channels.tolist()))
-    per_channel = len(ws) // n_channels
-    batch = ws.contexts[::per_channel][:n_channels]
+    n_channels = len(set(test.channels.tolist()))
+    per_channel = len(test) // n_channels
+    batch = test.contexts[::per_channel][:n_channels]
     original = bench_inference(model, batch, repeats=repeats, warmup=warmup)
     sliced = bench_inference(slice_pruned(model), batch, repeats=repeats,
                              warmup=warmup)
     _write_json(out / "bench_report.json",
                 {"repeats": repeats, "warmup": warmup, "batch": original["batch"],
                  "param_fraction": model.param_fraction()})
-    _write_json(out / "timings.json",
-                {"wall_seconds": time.perf_counter() - t0,
-                 "original_mean_s": original["mean_s"],
-                 "original_std_s": original["std_s"],
-                 "sliced_mean_s": sliced["mean_s"],
-                 "sliced_std_s": sliced["std_s"],
-                 "speedup": original["mean_s"] / sliced["mean_s"]})
-    return ["bench_report.json"]
+    return ["bench_report.json"], {"original_mean_s": original["mean_s"],
+                                   "original_std_s": original["std_s"],
+                                   "sliced_mean_s": sliced["mean_s"],
+                                   "sliced_std_s": sliced["std_s"],
+                                   "speedup": original["mean_s"] / sliced["mean_s"]}
 
 
 # ---------------------------------------------------------------------- main
 
+# verb -> (command, config sections it needs, window parts it reads). A verb
+# that needs the model section builds a fresh model from it; every other verb
+# reads --checkpoint instead.
 _COMMANDS = {
-    "pretrain": (cmd_pretrain, False),
-    "analyze": (cmd_analyze, True),
-    "prune": (cmd_prune, True),
-    "finetune": (cmd_finetune, True),
-    "eval": (functools.partial(cmd_report, report="eval_report.json"), True),
-    "bench": (cmd_bench, True),
-    "transfer": (functools.partial(cmd_report, report="transfer_report.json"), True),
+    "pretrain": (cmd_pretrain, ("model", "data", "train"), ("train", "val")),
+    "analyze": (cmd_analyze, ("data",), ("train",)),
+    "prune": (cmd_prune, ("data", "prune"), ("train",)),
+    "finetune": (cmd_finetune, ("data", "train"), ("train", "val")),
+    "eval": (functools.partial(cmd_report, report="eval_report.json"),
+             ("data",), ("test",)),
+    "bench": (cmd_bench, ("data",), ("test",)),
+    "transfer": (functools.partial(cmd_report, report="transfer_report.json"),
+                 ("data",), ("test",)),
 }
 
 
@@ -474,12 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structured prune-then-finetune pipeline for transformer "
                     "forecasters")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_ckpt) in _COMMANDS.items():
+    for name, (_, sections, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override config out_dir")
-        if needs_ckpt:
+        if "model" not in sections:
             p.add_argument("--checkpoint", required=True,
                            help="input checkpoint path")
     return parser
@@ -488,19 +461,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
+    command, sections, parts = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         if args.out is not None:
             cfg["out_dir"] = args.out
+        missing = [s for s in sections if cfg[s] is None]
+        if missing:
+            raise ConfigError(f"this command needs config section(s): {', '.join(missing)}")
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        fn, needs_ckpt = _COMMANDS[args.command]
-        if needs_ckpt:
-            artifacts = fn(cfg, out, args.checkpoint)
+        t0 = time.perf_counter()
+        if "model" in sections:
+            from .model import Forecaster, ForecasterConfig
+
+            model = Forecaster(ForecasterConfig(**cfg["model"]), seed=cfg["seed"])
         else:
-            artifacts = fn(cfg, out)
+            model = _load_model(args.checkpoint, cfg)
+        ws = _windows(cfg["data"], model.cfg, parts)
+        artifacts, timings = command(cfg, out, model, ws)
+        _write_json(out / "timings.json",
+                    {"wall_seconds": time.perf_counter() - t0, **timings})
         _write_manifest(out, args.command, cfg, artifacts + ["manifest.json"])
     except PrunecastError as exc:
         print(f"error: {exc}", file=sys.stderr)

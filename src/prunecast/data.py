@@ -133,8 +133,13 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
     "frequency": str}. Without a schema the first column is treated as a
     timestamp iff its first data cell does not parse as a number.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     if not rows or all(not r for r in rows):
         raise ParseError(f"{path}: empty file")
 

@@ -28,20 +28,36 @@ NEG_INF = -1e30
 
 
 SIZE_KEYS = ("layers", "heads", "d_model", "d_ffn", "patch_len", "context_len", "horizon")
+CHOICES = {"norm": NORM_KINDS, "activation": ACTIVATIONS, "attention": ATTENTION_STYLES}
 
 
-def config_problems(d: dict) -> list[str]:
-    """Every out-of-range value of a model section; mistyped keys are skipped."""
-    sizes = {k: d[k] for k in SIZE_KEYS
-             if isinstance(d.get(k), int) and not isinstance(d[k], bool)}
-    out = [f"model.{k}: must be positive, got {v}" for k, v in sizes.items() if v <= 0]
+def config_problems(d, where: str = "model") -> list[str]:
+    """Every unknown, missing, mistyped (a bool counts as mistyped) or
+    out-of-range key of a model section, each message prefixed by ``where``.
+
+    The sizes are required positive ints; the ``CHOICES`` keys are optional
+    strings, defaulted by ``ForecasterConfig``.
+    """
+    if not isinstance(d, dict):
+        return [f"{where} must be an object, got {type(d).__name__}"]
+    out = [f"{where}.{k}: missing" for k in SIZE_KEYS if k not in d]
+    sizes = {}
+    for k, v in d.items():
+        want = int if k in SIZE_KEYS else str if k in CHOICES else None
+        if want is None:
+            out.append(f"{where}.{k}: unknown key")
+        elif not isinstance(v, want) or isinstance(v, bool):
+            out.append(f"{where}.{k}: expected {want.__name__}, got {type(v).__name__}")
+        elif want is str:
+            if v not in CHOICES[k]:
+                out.append(f"{where}.{k}: must be one of {CHOICES[k]}, got {v!r}")
+        elif v <= 0:
+            out.append(f"{where}.{k}: must be positive, got {v}")
+        else:
+            sizes[k] = v
     for key, div in (("d_model", "heads"), ("context_len", "patch_len")):
-        if sizes.get(key, 0) > 0 and sizes.get(div, 0) > 0 and sizes[key] % sizes[div]:
-            out.append(f"model.{key}: {sizes[key]} is not divisible by {div}={sizes[div]}")
-    for key, kinds in (("norm", NORM_KINDS), ("activation", ACTIVATIONS),
-                       ("attention", ATTENTION_STYLES)):
-        if isinstance(d.get(key), str) and d[key] not in kinds:
-            out.append(f"model.{key}: must be one of {kinds}, got {d[key]!r}")
+        if key in sizes and div in sizes and sizes[key] % sizes[div]:
+            out.append(f"{where}.{key}: {sizes[key]} is not divisible by {div}={sizes[div]}")
     return out
 
 
@@ -72,13 +88,7 @@ class ForecasterConfig:
         return self.d_model // self.heads
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "layers", "heads", "d_model", "d_ffn", "patch_len",
-            "context_len", "horizon", "norm", "activation", "attention")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForecasterConfig":
-        return cls(**d)
+        return {k: getattr(self, k) for k in SIZE_KEYS + tuple(CHOICES)}
 
 
 class LinearCapture:

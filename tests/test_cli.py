@@ -1,8 +1,12 @@
 """CLI pipeline tests: validation, identity, determinism, transfer."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecast.cli import config_hash, load_config, main, validate_config
 from prunecast.errors import ConfigError
@@ -96,6 +100,61 @@ class TestConfigValidation:
         assert f"data.split.{part}: must be a finite count or fraction >= 0, got -40" in err
         assert "seed: expected an int" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha, needle", [
+        (["x"], "prune.alpha: 'x' is not a number in (0, 1]"),
+        ([0.5, True], "prune.alpha: True is not a number in (0, 1]"),
+        ([0.5, 1.5], "prune.alpha: 1.5 is not a number in (0, 1]"),
+        (0, "prune.alpha: 0 is not a number in (0, 1]"),
+        ([], "prune.alpha: the list must not be empty"),
+    ], ids=["str-item", "bool-item", "above-one", "zero", "empty"])
+    def test_bad_alpha_listed_with_the_rest(self, tmp_path, capsys, pipeline, alpha, needle):
+        cfg = base_config(tmp_path / "out", seed="three")
+        cfg["prune"]["alpha"] = alpha
+        rc = main(["prune", "--config", write_config(tmp_path, cfg),
+                   "--checkpoint", pipeline[2]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert needle in err
+        assert "seed: expected an int" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value, needle", [
+        (["seed"], -1, "seed: must be an int >= 0, got -1"),
+        (["seed"], True, "seed: expected an int"),
+        (["data", "synth", "seed"], -1, "data.synth.seed: must be an int >= 0, got -1"),
+        (["data", "synth", "n_points"], -5, "data.synth.n_points: must be an int >= 1"),
+        (["data", "synth", "n_channels"], 0, "data.synth.n_channels: must be an int >= 1"),
+        (["data", "synth"], 5, "data.synth: expected"),
+        (["data", "schema"], 5, "data.schema: expected"),
+    ], ids=["seed-negative", "seed-bool", "synth-seed-negative", "n-points-negative",
+            "n-channels-zero", "synth-not-object", "schema-not-object"])
+    def test_bad_seed_or_synth_value_fails_closed(self, tmp_path, capsys, path, value,
+                                                   needle):
+        cfg = base_config(tmp_path / "out")
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert needle in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_is_checked_like_the_config(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+        rc = main(["pretrain", "--config", cfg_path, "--seed", "-1"])
+        assert rc == 1
+        assert "seed: must be an int >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_path_that_is_a_directory_fails_closed(self, tmp_path, capsys):
+        rc = main(["pretrain", "--config", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -260,6 +319,46 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(f"error: {bad}: bad ledger: refs: ")
         assert not (tmp_path / "ft" / "finetuned.ckpt").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_checkpoint_fails_closed(self, pipeline, tmp_path, capsys, kind):
+        _, cfg_path, _ = pipeline
+        bad = tmp_path / "nope.ckpt"
+        if kind == "directory":
+            bad.mkdir()
+        rc = main(["eval", "--config", cfg_path, "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: cannot read")
+
+    @pytest.mark.parametrize("kind, needle", [
+        ("missing", "cannot read"), ("directory", "cannot read"),
+        ("latin-1", "not a UTF-8 CSV file"),
+    ])
+    def test_unreadable_csv_fails_closed(self, pipeline, tmp_path, capsys, kind, needle):
+        root, _, ckpt = pipeline
+        csv_path = tmp_path / "series.csv"
+        if kind == "directory":
+            csv_path.mkdir()
+        elif kind == "latin-1":
+            csv_path.write_bytes("temp\u00b0C,b\n1,2\n".encode("latin-1"))
+        cfg = json.loads((root / "cfg.json").read_text())
+        cfg["data"]["csv"] = str(csv_path)
+        del cfg["data"]["synth"]
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--checkpoint", ckpt, "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}: {needle}")
+
+    def test_unknown_channels_fail_closed(self, pipeline, tmp_path, capsys):
+        root, _, ckpt = pipeline
+        cfg = json.loads((root / "cfg.json").read_text())
+        cfg["data"]["channels"] = ["sine0", "nope"]
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--checkpoint", ckpt, "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: data.channels: no such channels ['nope']\n"
+
     def test_checkpoint_config_mismatch_is_explicit(self, pipeline, tmp_path):
         root, cfg_path, ckpt = pipeline
         cfg = json.loads((root / "cfg.json").read_text())
@@ -315,3 +414,70 @@ class TestCompareRuns:
         assert _compare_runs().main([str(a), str(b)]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out == [f"only_a.csv (only in {a})", "x/r.json"]
+
+
+# Drawn values stay small: no example builds a large table. Strings come
+# from the config's own vocabulary and a short fixed alphabet, so none names
+# a real file.
+CONFIG_TEXT = st.sampled_from(["sines", "ar1", "sine0", "sine1", "gelu", "relu",
+                               "importance", "masked"]) | st.text("abcs0._", max_size=6)
+config_scalars = (st.none() | st.booleans() | st.integers(-64, 64)
+                  | st.floats(-64, 64, allow_nan=False) | CONFIG_TEXT)
+config_values = config_scalars | st.recursive(
+    config_scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(CONFIG_TEXT, inner, max_size=3), max_leaves=6)
+# out_dir would send artifacts elsewhere; data.csv would read a drawn path
+NOT_DRAWN = {("out_dir",), ("data", "csv")}
+
+
+def same_type_values(original):
+    """Values of the original's JSON type: these probe ranges, not types."""
+    for kind, values in ((bool, st.booleans()), (int, st.integers(-64, 64)),
+                         (float, st.floats(-64, 64, allow_nan=False)),
+                         (str, CONFIG_TEXT)):
+        if isinstance(original, kind):
+            return values
+    return config_values
+
+
+def config_paths(node, path=()):
+    """Every path from the config root to a node, the root and containers too."""
+    yield path
+    keys = sorted(node) if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        if path + (key,) not in NOT_DRAWN:
+            yield from config_paths(node[key], path + (key,))
+
+
+@pytest.fixture(scope="module")
+def property_root(pipeline, tmp_path_factory):
+    return tmp_path_factory.mktemp("prop"), pipeline[2]
+
+
+class TestConfigProperty:
+    @given(data=st.data())
+    def test_eval_on_edited_config_exits_cleanly(self, property_root, data):
+        """One value of a valid config replaced by a drawn JSON value: eval
+        exits 0, or 1 with an error line, and never raises."""
+        root, ckpt = property_root
+        cfg = base_config(root / "default-out")
+        cfg["data"]["channels"] = ["sine0", "sine1"]
+        cfg["data"]["schema"] = {"frequency": "h"}
+        cfg["prune"]["alpha"] = [0.5]
+        path = data.draw(st.sampled_from(list(config_paths(cfg))))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        original = parent[path[-1]] if path else cfg
+        value = data.draw(same_type_values(original) | config_values)
+        if path:
+            parent[path[-1]] = value
+        else:
+            cfg = value
+        (root / "run.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["eval", "--config", str(root / "run.json"), "--checkpoint", ckpt,
+                       "--out", str(root / "ev")])
+        assert (rc, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
