@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigError, PrunecastError
+from .errors import ConfigError, Field, PrunecastError, section_problems
 
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -32,150 +32,39 @@ def _apply_thread_cap() -> None:
 
 # --------------------------------------------------------------------- config
 
-_NUM = (int, float)
-
-# section -> key -> (types, required, default); the model section is checked
-# by model.config_problems and defaulted by ForecasterConfig
-_SCHEMA = {
-    "data": {
-        "csv": (str, False, None), "synth": (dict, False, None),
-        "schema": (dict, False, None),
-        "channels": (list, False, None), "channel_prefix": (str, False, None),
-        "split": (dict, True, None),
-    },
-    "prune": {
-        "variant": (str, False, "importance"),
-        "ratio_per_epoch": (_NUM, False, 0.1), "epochs": (int, False, 1),
-        "batch_size": (int, False, 64), "k": (int, False, None),
-        "alpha": ((int, float, list), False, 0.5),
-        "head_threshold": (_NUM, False, 0.01), "act_threshold": (_NUM, False, 0.01),
-        "target_param_fraction": (_NUM, False, None),
-    },
-    "train": {
-        "lr": (_NUM, True, None), "batch_size": (int, False, 32),
-        "max_epochs": (int, False, 10), "patience": (int, False, 1),
-        "optimizer": (str, False, "adam"),
-        "update_norm_params": (bool, False, True),
-        "normalized_metrics": (bool, False, True),
-        "mode": (str, False, "sliced"),
-    },
-}
-
-_SPLIT_SCHEMA = {"train": (_NUM, True, None), "val": (_NUM, True, None),
-                 "test": (_NUM, True, None), "stride": (int, False, 1)}
-_SYNTH_SCHEMA = {"kind": (str, True, None), "seed": (int, False, 0),
-                 "n_points": (int, True, None), "n_channels": (int, True, None),
-                 "ar_coeff": (_NUM, False, 0.8)}
-_DATA_SCHEMA_SCHEMA = {"timestamp_column": ((str, int, type(None)), False, None),
-                       "frequency": (str, False, None)}
-
-_VARIANTS = ("importance", "stat", "stat_then_importance")
-_MODES = ("sliced", "masked")
-
-
-def _check_section(name: str, raw: dict, schema: dict, errors: list[str]) -> dict:
-    out = {}
-    for key in raw:
-        if key not in schema:
-            errors.append(f"{name}: unknown key {key!r}")
-    for key, (types, required, default) in schema.items():
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) and types in (_NUM, int):
-                errors.append(f"{name}.{key}: expected a number, got a bool")
-            elif not isinstance(value, types):
-                errors.append(f"{name}.{key}: expected {types}, got {type(value).__name__}")
-            out[key] = value
-        elif required:
-            errors.append(f"{name}.{key}: missing required key")
-        else:
-            out[key] = default
-    return out
-
-
-def _below_minimum(key: str, value, low: int) -> list[str]:
-    """The problem with an int below ``low``; the type is checked elsewhere."""
-    if isinstance(value, int) and not isinstance(value, bool) and value < low:
-        return [f"{key}: must be an int >= {low}, got {value}"]
-    return []
+def _normalized(d: dict, fields: dict) -> dict:
+    """``d`` with every absent key at its default, nested tables too."""
+    return {key: _normalized(d[key], f.kind)
+            if isinstance(f.kind, dict) and isinstance(d.get(key), dict)
+            else d.get(key, f.default) for key, f in fields.items()}
 
 
 def validate_config(raw: dict) -> dict:
-    """Normalize a run config, rejecting unknown keys; lists every violation."""
-    errors: list[str] = []
+    """Normalize a run config, rejecting unknown keys; lists every violation.
+    A section's keys, defaults and rules are the ``FIELDS`` of its module."""
+    from . import data, pruning, training
+    from .model import ForecasterConfig, config_problems
+
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = set(_SCHEMA) | {"model", "out_dir", "seed"}
-    for key in raw:
-        if key not in known:
-            errors.append(f"unknown top-level key {key!r}")
-
-    cfg: dict = {"seed": raw.get("seed", 0)}
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        errors.append("seed: expected an int")
-    errors.extend(_below_minimum("seed", cfg["seed"], 0))
-    if "out_dir" not in raw:
-        errors.append("out_dir: missing required key")
-    elif not isinstance(raw["out_dir"], str):
-        errors.append("out_dir: expected a string path")
-    else:
-        cfg["out_dir"] = raw["out_dir"]
-
-    cfg["model"] = None
-    if "model" in raw:
-        from .model import ForecasterConfig, config_problems
-
-        problems = config_problems(raw["model"])
-        errors.extend(problems)
-        if not problems:
-            cfg["model"] = ForecasterConfig(**raw["model"]).to_dict()
-    for section, schema in _SCHEMA.items():
-        if section not in raw:
-            cfg[section] = None
-            continue
-        if not isinstance(raw[section], dict):
-            errors.append(f"{section}: expected an object")
-            cfg[section] = None
-            continue
-        cfg[section] = _check_section(section, raw[section], schema, errors)
-
-    data = cfg.get("data")
-    if data:
-        if isinstance(data.get("split"), dict):
-            from .data import split_problems
-
-            data["split"] = _check_section("data.split", data["split"],
-                                           _SPLIT_SCHEMA, errors)
-            errors.extend(split_problems(data["split"]))
-        if isinstance(data.get("synth"), dict):
-            synth = data["synth"] = _check_section("data.synth", data["synth"],
-                                                   _SYNTH_SCHEMA, errors)
-            for key, low in (("seed", 0), ("n_points", 1), ("n_channels", 1)):
-                errors.extend(_below_minimum(f"data.synth.{key}", synth.get(key), low))
-        if isinstance(data.get("schema"), dict):
-            data["schema"] = _check_section("data.schema", data["schema"],
-                                            _DATA_SCHEMA_SCHEMA, errors)
-        if (data.get("csv") is None) == (data.get("synth") is None):
+    fields = {"seed": Field(int, 0, ">= 0"), "out_dir": Field(str),
+              "model": Field(dict, None),  # model.FIELDS, via config_problems
+              "data": Field(data.FIELDS, None),
+              "prune": Field(pruning.FIELDS, None), "train": Field(training.FIELDS, None)}
+    errors = section_problems(raw, fields, where="")
+    if isinstance(raw.get("model"), dict):
+        errors += config_problems(raw["model"])
+    d = raw.get("data")
+    if isinstance(d, dict):
+        if (d.get("csv") is None) == (d.get("synth") is None):
             errors.append("data: exactly one of csv/synth is required")
-        if data.get("channels") is not None and data.get("channel_prefix") is not None:
+        if d.get("channels") is not None and d.get("channel_prefix") is not None:
             errors.append("data: channels and channel_prefix are mutually exclusive")
-
-    prune = cfg.get("prune")
-    if prune and prune["variant"] not in _VARIANTS:
-        errors.append(f"prune.variant: must be one of {_VARIANTS}")
-    if prune and isinstance(prune["alpha"], (int, float, list)):
-        alphas = prune["alpha"] if isinstance(prune["alpha"], list) else [prune["alpha"]]
-        if not alphas:
-            errors.append("prune.alpha: the list must not be empty")
-        # type() rather than isinstance(): a bool is mistyped
-        errors.extend(f"prune.alpha: {a!r} is not a number in (0, 1]" for a in alphas
-                      if type(a) not in (int, float) or not 0 < a <= 1)
-    train = cfg.get("train")
-    if train and train["mode"] not in _MODES:
-        errors.append(f"train.mode: must be one of {_MODES}")
-
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))
+    cfg = _normalized(raw, fields)
+    if cfg["model"] is not None:
+        cfg["model"] = ForecasterConfig(**cfg["model"]).to_dict()
     return cfg
 
 
@@ -469,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         missing = [s for s in sections if cfg[s] is None]
         if missing:
             raise ConfigError(f"this command needs config section(s): {', '.join(missing)}")
-        out = Path(cfg["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         if "model" in sections:
             from .model import Forecaster, ForecasterConfig
@@ -479,6 +366,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             model = _load_model(args.checkpoint, cfg)
         ws = _windows(cfg["data"], model.cfg, parts)
+        out = Path(cfg["out_dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. the path or one of its parents is a file
+            raise ConfigError(f"{out}: cannot create the output directory: "
+                              f"{exc.strerror or exc}") from exc
         artifacts, timings = command(cfg, out, model, ws)
         _write_json(out / "timings.json",
                     {"wall_seconds": time.perf_counter() - t0, **timings})

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ConfigError
+from .errors import ConfigError, Field, ParseError, require
+from .model import FIELDS as MODEL_FIELDS
 
 
 @dataclass
@@ -47,19 +48,17 @@ class SeriesTable:
         return SeriesTable(list(names), self.values[:, cols].copy(), self.frequency)
 
 
-SPLIT_PARTS = ("train", "val", "test")
-
-
-def split_problems(d: dict) -> list[str]:
-    """Every negative or non-finite split part; mistyped values are skipped."""
-    out = []
-    for part in SPLIT_PARTS:
-        v = d.get(part)
-        if isinstance(v, (int, float)) and not isinstance(v, bool) \
-                and not (math.isfinite(v) and v >= 0):
-            out.append(f"data.split.{part}: must be a finite count or fraction "
-                       f">= 0, got {v}")
-    return out
+SYNTH_KINDS = ("sines", "ar1", "planted_redundancy")
+# a split part is a point count or a fraction, see SplitSpec
+_PART = Field(float, rule=">= 0")
+SPLIT_FIELDS = {"train": _PART, "val": _PART, "test": _PART, "stride": Field(int, 1, ">= 1")}
+SYNTH_FIELDS = {"kind": Field(str, rule=SYNTH_KINDS), "seed": Field(int, 0, ">= 0"),
+                "n_points": Field(int, rule=">= 1"), "n_channels": Field(int, rule=">= 1"),
+                "ar_coeff": Field(float, 0.8)}
+SCHEMA_FIELDS = {"timestamp_column": Field((str, int), None), "frequency": Field(str, None)}
+FIELDS = {"csv": Field(str, None), "synth": Field(SYNTH_FIELDS, None),
+          "schema": Field(SCHEMA_FIELDS, None), "channels": Field(list, None),
+          "channel_prefix": Field(str, None), "split": Field(SPLIT_FIELDS)}
 
 
 @dataclass
@@ -75,13 +74,10 @@ class SplitSpec:
     stride: int = 1
 
     def __post_init__(self):
-        problems = split_problems({p: getattr(self, p) for p in SPLIT_PARTS})
-        if problems:
-            raise ConfigError("; ".join(problems))
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.context_len < 1 or self.horizon < 1:
-            raise ConfigError("context_len and horizon must be positive")
+        require({k: v for k, v in vars(self).items() if k in SPLIT_FIELDS},
+                SPLIT_FIELDS, "data.split")
+        require({"context_len": self.context_len, "horizon": self.horizon},
+                {k: MODEL_FIELDS[k] for k in ("context_len", "horizon")}, "model")
 
     def resolve(self, n_points: int) -> tuple[int, int, int]:
         """Turn counts-or-fractions into point counts; trailing points unused."""
@@ -147,9 +143,7 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
     ts_col: int | None = None
     explicit_ts = False
     if schema:
-        unknown = set(schema) - {"timestamp_column", "frequency"}
-        if unknown:
-            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
+        require(schema, SCHEMA_FIELDS, "data.schema")
         frequency = schema.get("frequency")
         if "timestamp_column" in schema:
             explicit_ts = True
@@ -183,9 +177,10 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
         raise ParseError(f"{path}: no data rows")
 
     if not explicit_ts:
-        ts_col = 0 if not is_number(data_rows[0][0]) else None
+        # a blank first row has no cell to test; the width check rejects it
+        ts_col = 0 if data_rows[0] and not is_number(data_rows[0][0]) else None
 
-    width = len(data_rows[0])
+    width = len(first)
     keep = [j for j in range(width) if j != ts_col]
     if not keep:
         raise ParseError(f"{path}: no numeric columns")
@@ -241,9 +236,6 @@ def make_windows(table: SeriesTable, spec: SplitSpec, part: str) -> WindowSet:
                      np.array(channels, dtype=np.intp), list(table.names))
 
 
-SYNTH_KINDS = ("sines", "ar1", "planted_redundancy")
-
-
 def synth_dataset(kind: str, seed: int, dims: tuple[int, int],
                   ar_coeff: float = 0.8) -> SeriesTable:
     """Reproducible synthetic series.
@@ -252,9 +244,9 @@ def synth_dataset(kind: str, seed: int, dims: tuple[int, int],
     frequencies, so a model pre-trained on the mixture carries capacity
     irrelevant to either sub-task alone.
     """
-    if kind not in SYNTH_KINDS:
-        raise ConfigError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
     n_points, n_channels = dims
+    require({"kind": kind, "seed": seed, "n_points": n_points, "n_channels": n_channels,
+             "ar_coeff": ar_coeff}, SYNTH_FIELDS, "data.synth")
     rng = np.random.default_rng(seed)
     t = np.arange(n_points)
 

@@ -9,6 +9,7 @@ gradients and sparsity diagnostics.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ShapeError
+from .errors import ConfigError, Field, ShapeError, section_problems
 
 NORM_KINDS = ("layernorm", "rmsnorm")
 ACTIVATIONS = ("relu", "gelu")
@@ -27,38 +28,22 @@ NORM_EPS = 1e-5
 NEG_INF = -1e30
 
 
-SIZE_KEYS = ("layers", "heads", "d_model", "d_ffn", "patch_len", "context_len", "horizon")
-CHOICES = {"norm": NORM_KINDS, "activation": ACTIVATIONS, "attention": ATTENTION_STYLES}
+_SIZE = Field(int, rule=">= 1")
+FIELDS = {"layers": _SIZE, "heads": _SIZE, "d_model": _SIZE, "d_ffn": _SIZE,
+          "patch_len": _SIZE, "context_len": _SIZE, "horizon": _SIZE,
+          "norm": Field(str, "layernorm", NORM_KINDS),
+          "activation": Field(str, "gelu", ACTIVATIONS),
+          "attention": Field(str, "bidirectional", ATTENTION_STYLES)}
 
 
 def config_problems(d, where: str = "model") -> list[str]:
-    """Every unknown, missing, mistyped (a bool counts as mistyped) or
-    out-of-range key of a model section, each message prefixed by ``where``.
-
-    The sizes are required positive ints; the ``CHOICES`` keys are optional
-    strings, defaulted by ``ForecasterConfig``.
-    """
-    if not isinstance(d, dict):
-        return [f"{where} must be an object, got {type(d).__name__}"]
-    out = [f"{where}.{k}: missing" for k in SIZE_KEYS if k not in d]
-    sizes = {}
-    for k, v in d.items():
-        want = int if k in SIZE_KEYS else str if k in CHOICES else None
-        if want is None:
-            out.append(f"{where}.{k}: unknown key")
-        elif not isinstance(v, want) or isinstance(v, bool):
-            out.append(f"{where}.{k}: expected {want.__name__}, got {type(v).__name__}")
-        elif want is str:
-            if v not in CHOICES[k]:
-                out.append(f"{where}.{k}: must be one of {CHOICES[k]}, got {v!r}")
-        elif v <= 0:
-            out.append(f"{where}.{k}: must be positive, got {v}")
-        else:
-            sizes[k] = v
-    for key, div in (("d_model", "heads"), ("context_len", "patch_len")):
-        if key in sizes and div in sizes and sizes[key] % sizes[div]:
-            out.append(f"{where}.{key}: {sizes[key]} is not divisible by {div}={sizes[div]}")
-    return out
+    """The problems ``section_problems`` finds in a model section; once there
+    are none, a ``d_model`` not divisible by ``heads`` and a ``context_len``
+    not divisible by ``patch_len``."""
+    return section_problems(d, FIELDS, where) or [
+        f"{where}.{key}: {d[key]} is not divisible by {div}={d[div]}"
+        for key, div in (("d_model", "heads"), ("context_len", "patch_len"))
+        if d[key] % d[div]]
 
 
 @dataclass
@@ -77,7 +62,7 @@ class ForecasterConfig:
     def __post_init__(self):
         problems = config_problems(self.to_dict())
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError("; ".join(problems))
 
     @property
     def tokens(self) -> int:
@@ -88,7 +73,7 @@ class ForecasterConfig:
         return self.d_model // self.heads
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in SIZE_KEYS + tuple(CHOICES)}
+        return {k: getattr(self, k) for k in FIELDS}
 
 
 class LinearCapture:
@@ -464,17 +449,6 @@ class Forecaster(ForecasterBase):
 
     # ------------------------------------------------------------------- misc
 
-    def copy_params_from(self, other: "Forecaster") -> None:
-        for (_, dst), (_, src) in zip(self.named_params(), other.named_params()):
-            dst[...] = src
-
-    def copy_masks_from(self, other: "Forecaster") -> None:
-        for dst, src in zip(self.linears(), other.linears()):
-            dst.m_in[...] = src.m_in
-            dst.m_out[...] = src.m_out
-
     def clone(self) -> "Forecaster":
-        twin = Forecaster(self.cfg, seed=0)
-        twin.copy_params_from(self)
-        twin.copy_masks_from(self)
-        return twin
+        """A copy of the parameters and masks that shares no array; no ledger."""
+        return copy.deepcopy(self, {id(self.ledger): None})

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .data import WindowSet
-from .errors import ConfigError, PruneDivergedError
+from .errors import ConfigError, Field, PruneDivergedError, require
 from .model import Forecaster
 from .training import batch_loss
 
@@ -39,6 +39,18 @@ class ChannelRef:
 
 PROTECTED = (("embed", "input"), ("head", "output"))  # I/O arity, never pruned
 
+FIELDS = {
+    "variant": Field(str, "importance", ("importance", "stat", "stat_then_importance")),
+    "ratio_per_epoch": Field(float, 0.1, "[0, 1]"),
+    "epochs": Field(int, 1, ">= 1"),
+    "batch_size": Field(int, 64, ">= 1"),
+    "k": Field(int, None, ">= 0"),
+    "alpha": Field((float, [float]), 0.5, "(0, 1]"),  # a grid: one run per value
+    "head_threshold": Field(float, 0.01, "[0, 1]"),
+    "act_threshold": Field(float, 0.01, "[0, 1]"),
+    "target_param_fraction": Field(float, None, "[0, 1]"),
+}
+
 
 class ImportanceLedger:
     """EMA scores and liveness of every maskable channel.
@@ -51,8 +63,7 @@ class ImportanceLedger:
     """
 
     def __init__(self, layout: list[tuple[str, str, int]], alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"EMA alpha must lie in (0, 1], got {alpha}")
+        require({"alpha": alpha}, {"alpha": FIELDS["alpha"]._replace(kind=float)}, "prune")
         self.layout = layout
         widths = [width for _, _, width in layout]
         self.starts = np.cumsum([0] + widths).tolist()
@@ -158,12 +169,7 @@ class PruneSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.ratio_per_epoch <= 1.0:
-            raise ConfigError("ratio_per_epoch must lie in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.k is not None and self.k < 0:
-            raise ConfigError("k must be >= 0")
+        require({k: v for k, v in vars(self).items() if k in FIELDS}, FIELDS, "prune")
 
 
 class PerSampleGrads:
@@ -379,11 +385,8 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
     W_O input group; FFN intermediate channels below the activation
     threshold lose the up-output and down-input coordinates jointly.
     """
-    for name, thr in (("head_threshold", head_threshold),
-                      ("act_threshold", act_threshold)):
-        if not 0.0 <= thr <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {thr}")
-
+    require({"head_threshold": head_threshold, "act_threshold": act_threshold},
+            FIELDS, "prune")
     pruned: list[ChannelRef] = []
 
     def kill(layer, side: str, index: int):

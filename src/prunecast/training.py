@@ -12,10 +12,23 @@ from . import autodiff as ad
 from . import slicing
 from .autodiff import Tape
 from .data import WindowSet
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, Field, TrainingDivergedError, require
 from .model import Forecaster
 
 OPTIMIZERS = ("sgd", "adam")
+
+FIELDS = {
+    "lr": Field(float, rule=">= 0"),  # 0 is the degenerate no-op run
+    "batch_size": Field(int, 32, ">= 1"),
+    "max_epochs": Field(int, 10, ">= 0"),
+    "patience": Field(int, 1, ">= 1"),
+    "optimizer": Field(str, "adam", OPTIMIZERS),
+    "update_norm_params": Field(bool, True),
+    "normalized_metrics": Field(bool, True),
+    # both values run the sliced trainer; the key stays so that every
+    # existing config keeps its config_hash
+    "mode": Field(str, "sliced", ("sliced", "masked")),
+}
 
 
 @dataclass
@@ -30,15 +43,7 @@ class TrainConfig:
     update_norm_params: bool = True
 
     def __post_init__(self):
-        # lr == 0 is allowed as the degenerate no-op run
-        if self.lr < 0:
-            raise ConfigError("learning rate must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and max_epochs >= 0")
+        require({k: v for k, v in vars(self).items() if k in FIELDS}, FIELDS, "train")
 
 
 @dataclass

@@ -152,12 +152,12 @@ def _drop_tensor(name):
 HEADER_EDITS = {
     "config-out-of-range": (_set(["config", "context_len"], 25),
                             "context_len: 25 is not divisible by patch_len=4"),
-    "config-non-positive": (_set(["config", "heads"], 0), "heads: must be positive"),
-    "config-mistyped": (_set(["config", "d_model"], "8"), "d_model: expected int, got str"),
-    "config-bool": (_set(["config", "layers"], True), "layers: expected int, got bool"),
+    "config-non-positive": (_set(["config", "heads"], 0), "heads: must be an int >= 1, got 0"),
+    "config-mistyped": (_set(["config", "d_model"], "8"), "d_model: expected an int, got str"),
+    "config-bool": (_set(["config", "layers"], True), "layers: expected an int, got bool"),
     "config-unknown-key": (_set(["config", "width"], 3), "width: unknown key"),
     "config-missing-key": (_drop(["config", "horizon"]), "horizon: missing"),
-    "config-not-object": (_set(["config"], [1, 2]), "config must be an object"),
+    "config-not-object": (_set(["config"], [1, 2]), "config: expected an object, got list"),
     "no-config": (_drop(["config"]), "header lacks config"),
     "no-tensors": (_drop(["tensors"]), "header lacks tensors"),
     "no-layers": (_drop(["layers"]), "header lacks layers"),

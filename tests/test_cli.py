@@ -3,13 +3,20 @@
 import contextlib
 import io
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from prunecast.cli import config_hash, load_config, main, validate_config
+from prunecast.data import SplitSpec, synth_dataset
 from prunecast.errors import ConfigError
+from prunecast.model import ForecasterConfig
+from prunecast.pruning import ImportanceLedger, PruneSchedule, prune_stat
+from prunecast.training import TrainConfig
 
 
 def base_config(out_dir, **overrides):
@@ -40,6 +47,37 @@ def run(*argv):
     assert rc == 0, f"command failed: {argv}"
 
 
+PINNED_MODEL = {"layers": 1, "heads": 2, "d_model": 16, "d_ffn": 16, "patch_len": 4,
+                "context_len": 16, "horizon": 4}
+PINNED_EVERY_KEY = {
+    "model": {**PINNED_MODEL, "norm": "rmsnorm", "activation": "relu",
+              "attention": "causal"},
+    "data": {"synth": {"kind": "ar1", "seed": 5, "n_points": 260, "n_channels": 2,
+                       "ar_coeff": 0.5},
+             "schema": {"timestamp_column": 0, "frequency": "h"},
+             "channel_prefix": "ar",
+             "split": {"train": 0.7, "val": 0.15, "test": 40, "stride": 2}},
+    "prune": {"variant": "stat_then_importance", "ratio_per_epoch": 0.2, "epochs": 2,
+              "batch_size": 32, "k": 3, "alpha": [0.3, 1], "head_threshold": 0.05,
+              "act_threshold": 0.1, "target_param_fraction": 0.5},
+    "train": {"lr": 0.002, "batch_size": 16, "max_epochs": 0, "patience": 2,
+              "optimizer": "sgd", "update_norm_params": False,
+              "normalized_metrics": False, "mode": "masked"},
+    "out_dir": "out", "seed": 7,
+}
+# the data keys the config above cannot set together with its own
+PINNED_CSV_KEYS = {"data": {"csv": "series.csv", "channels": ["b", "a"],
+                            "schema": {"timestamp_column": "date"},
+                            "split": {"train": 100, "val": 20, "test": 20}},
+                   "out_dir": "out"}
+PINNED_REQUIRED_ONLY = {
+    "model": PINNED_MODEL,
+    "data": {"synth": {"kind": "sines", "n_points": 260, "n_channels": 2},
+             "split": {"train": 180, "val": 40, "test": 40}},
+    "prune": {}, "train": {"lr": 1e-3}, "out_dir": "out",
+}
+
+
 class TestConfigValidation:
     def test_unknown_keys_rejected_and_all_violations_listed(self):
         raw = {"model": {"layers": 1, "bogus": 2}, "naughty": True,
@@ -68,8 +106,8 @@ class TestConfigValidation:
         assert config_hash(a) != config_hash(d)
 
     @pytest.mark.parametrize("key, value, needle", [
-        ("heads", 0, "model.heads: must be positive"),
-        ("layers", -1, "model.layers: must be positive"),
+        ("heads", 0, "model.heads: must be an int >= 1, got 0"),
+        ("layers", -1, "model.layers: must be an int >= 1, got -1"),
         ("d_model", 18, "model.d_model: 18 is not divisible by heads=4"),
         ("context_len", 18, "model.context_len: 18 is not divisible by patch_len=4"),
         ("norm", "batchnorm", "model.norm: must be one of"),
@@ -97,15 +135,15 @@ class TestConfigValidation:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config")
-        assert f"data.split.{part}: must be a finite count or fraction >= 0, got -40" in err
+        assert f"data.split.{part}: must be a number >= 0, got -40" in err
         assert "seed: expected an int" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha, needle", [
-        (["x"], "prune.alpha: 'x' is not a number in (0, 1]"),
-        ([0.5, True], "prune.alpha: True is not a number in (0, 1]"),
-        ([0.5, 1.5], "prune.alpha: 1.5 is not a number in (0, 1]"),
-        (0, "prune.alpha: 0 is not a number in (0, 1]"),
+        (["x"], "prune.alpha[0]: expected a number, got str"),
+        ([0.5, True], "prune.alpha[1]: expected a number, got bool"),
+        ([0.5, 1.5], "prune.alpha[1]: must be a number in (0, 1], got 1.5"),
+        (0, "prune.alpha: must be a number in (0, 1], got 0"),
         ([], "prune.alpha: the list must not be empty"),
     ], ids=["str-item", "bool-item", "above-one", "zero", "empty"])
     def test_bad_alpha_listed_with_the_rest(self, tmp_path, capsys, pipeline, alpha, needle):
@@ -143,6 +181,55 @@ class TestConfigValidation:
         assert err.startswith("error: invalid config")
         assert needle in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value, needle", [
+        (["train", "lr"], -1, "train.lr: must be a number >= 0, got -1"),
+        (["train", "lr"], math.nan, "train.lr: must be a finite number, got nan"),
+        (["train", "lr"], math.inf, "train.lr: must be a finite number, got inf"),
+        (["train", "optimizer"], "foo", "train.optimizer: must be one of ('sgd', 'adam')"),
+        (["train", "patience"], 0, "train.patience: must be an int >= 1, got 0"),
+        (["train", "batch_size"], 0, "train.batch_size: must be an int >= 1, got 0"),
+        (["train", "max_epochs"], -1, "train.max_epochs: must be an int >= 0, got -1"),
+        (["prune", "ratio_per_epoch"], 2,
+         "prune.ratio_per_epoch: must be a number in [0, 1], got 2"),
+        (["prune", "epochs"], 0, "prune.epochs: must be an int >= 1, got 0"),
+        (["prune", "batch_size"], 0, "prune.batch_size: must be an int >= 1, got 0"),
+        (["prune", "k"], -1, "prune.k: must be an int >= 0, got -1"),
+        (["prune", "target_param_fraction"], 5,
+         "prune.target_param_fraction: must be a number in [0, 1], got 5"),
+        (["prune", "target_param_fraction"], -1,
+         "prune.target_param_fraction: must be a number in [0, 1], got -1"),
+        (["prune", "head_threshold"], 2, "prune.head_threshold: must be a number in [0, 1]"),
+        (["prune", "act_threshold"], -1, "prune.act_threshold: must be a number in [0, 1]"),
+        (["data", "split", "stride"], 0, "data.split.stride: must be an int >= 1, got 0"),
+        (["data", "synth", "kind"], "nope", "data.synth.kind: must be one of"),
+        (["data", "synth", "ar_coeff"], math.nan,
+         "data.synth.ar_coeff: must be a finite number, got nan"),
+    ])
+    def test_bad_value_fails_before_any_work(self, tmp_path, capsys, path, value, needle):
+        cfg = base_config(tmp_path / "out", seed="three")
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert needle in err
+        assert "seed: expected an int" in err
+        assert not (tmp_path / "out").exists()
+
+    # config_hash values of the first release of this check: a valid config
+    # must normalize to the same dict, so manifests keep their hashes
+    @pytest.mark.parametrize("raw, digest", [
+        (PINNED_EVERY_KEY, "67f2f28a38f576e8561529391dcdad5a848b4ca4b1ba9caecb6438dc32ea86c9"),
+        (PINNED_CSV_KEYS, "683eb33b0705136f62436a635817f49ebf1260266c63848ff0f58edd035dd99c"),
+        (PINNED_REQUIRED_ONLY,
+         "6a9b6690476dd1a001089b334c1cfef276ae6958e443b2a7e66c64ecb4009e60"),
+    ], ids=["every-key", "csv-keys", "required-only"])
+    def test_config_hash_is_pinned(self, raw, digest):
+        assert config_hash(validate_config(json.loads(json.dumps(raw)))) == digest
 
     def test_seed_override_is_checked_like_the_config(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -359,6 +446,31 @@ class TestCommands:
         assert capsys.readouterr().err == \
             "error: data.channels: no such channels ['nope']\n"
 
+    @pytest.mark.parametrize("kind", ["missing-checkpoint", "unknown-channel"])
+    def test_failed_run_leaves_no_out(self, pipeline, tmp_path, capsys, kind):
+        root, _, ckpt = pipeline
+        cfg = json.loads((root / "cfg.json").read_text())
+        if kind == "missing-checkpoint":
+            ckpt = str(tmp_path / "nope.ckpt")
+        else:
+            cfg["data"]["channels"] = ["nope"]
+        rc = main(["eval", "--config", write_config(tmp_path, cfg),
+                   "--checkpoint", ckpt, "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_on_a_file_fails_closed(self, pipeline, tmp_path, capsys, out):
+        _, cfg_path, ckpt = pipeline
+        (tmp_path / "afile").write_text("kept")
+        rc = main(["eval", "--config", cfg_path, "--checkpoint", ckpt,
+                   "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / out}: cannot create the output directory: ")
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_checkpoint_config_mismatch_is_explicit(self, pipeline, tmp_path):
         root, cfg_path, ckpt = pipeline
         cfg = json.loads((root / "cfg.json").read_text())
@@ -368,6 +480,40 @@ class TestCommands:
         rc = main(["eval", "--config", str(bad), "--checkpoint", ckpt,
                    "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestConstructorsCheckTheirTables:
+    """Library callers meet the same rules as the run config."""
+
+    @pytest.mark.parametrize("build, needle", [
+        (lambda: TrainConfig(lr=-1), "train.lr: must be a number >= 0"),
+        (lambda: TrainConfig(lr=math.nan), "train.lr: must be a finite number"),
+        (lambda: TrainConfig(lr=1e-3, optimizer="foo"), "train.optimizer"),
+        (lambda: PruneSchedule(2), "prune.ratio_per_epoch"),
+        (lambda: PruneSchedule(0.1, target_param_fraction=5),
+         "prune.target_param_fraction"),
+        (lambda: PruneSchedule(0.1, epochs=True), "prune.epochs: expected an int"),
+        (lambda: ImportanceLedger([("l", "input", 1)], alpha=[0.5]),
+         "prune.alpha: expected a number"),
+        (lambda: prune_stat(None, [], [], 0.0, 2.0), "prune.act_threshold"),
+        (lambda: SplitSpec(5, 3, 2, context_len=4, horizon=3, stride=0),
+         "data.split.stride"),
+        (lambda: SplitSpec(5, 3, 2, context_len=0, horizon=3), "model.context_len"),
+        (lambda: synth_dataset("nope", 0, (10, 1)), "data.synth.kind"),
+        (lambda: synth_dataset("ar1", 0, (10, 1), ar_coeff=math.inf),
+         "data.synth.ar_coeff: must be a finite number"),
+        (lambda: ForecasterConfig(1, 2, 16, 16, 4, 16, 0), "model.horizon"),
+        (lambda: ForecasterConfig(1, 3, 16, 16, 4, 16, 4),
+         "model.d_model: 16 is not divisible by heads=3"),
+    ])
+    def test_bad_value_raises_config_error(self, build, needle):
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            build()
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = TrainConfig(lr=np.float64(1e-3), batch_size=np.int64(8))
+        assert cfg.batch_size == 8
+        PruneSchedule(np.float32(0.1), k=np.int32(2), target_param_fraction=np.float64(0.5))
 
 
 class TestDeterminism:
@@ -421,8 +567,9 @@ class TestCompareRuns:
 # a real file.
 CONFIG_TEXT = st.sampled_from(["sines", "ar1", "sine0", "sine1", "gelu", "relu",
                                "importance", "masked"]) | st.text("abcs0._", max_size=6)
+CONFIG_FLOATS = st.floats(-64, 64) | st.sampled_from([math.nan, math.inf, -math.inf])
 config_scalars = (st.none() | st.booleans() | st.integers(-64, 64)
-                  | st.floats(-64, 64, allow_nan=False) | CONFIG_TEXT)
+                  | CONFIG_FLOATS | CONFIG_TEXT)
 config_values = config_scalars | st.recursive(
     config_scalars, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(CONFIG_TEXT, inner, max_size=3), max_leaves=6)
@@ -433,7 +580,7 @@ NOT_DRAWN = {("out_dir",), ("data", "csv")}
 def same_type_values(original):
     """Values of the original's JSON type: these probe ranges, not types."""
     for kind, values in ((bool, st.booleans()), (int, st.integers(-64, 64)),
-                         (float, st.floats(-64, 64, allow_nan=False)),
+                         (float, CONFIG_FLOATS),
                          (str, CONFIG_TEXT)):
         if isinstance(original, kind):
             return values

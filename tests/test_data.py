@@ -43,6 +43,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3.*ragged"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["a,b\n\n1,2\n3,4\n", "a\n1,2\n3,4\n"],
+                             ids=["blank-after-header", "header-narrower-than-rows"])
+    def test_row_off_the_header_width_rejected(self, tmp_path, text):
+        with pytest.raises(ParseError, match="line 2: ragged row"):
+            load_csv(write_csv(tmp_path, text))
+
     def test_empty_file_rejected(self, tmp_path):
         path = write_csv(tmp_path, "")
         with pytest.raises(ParseError, match="empty"):

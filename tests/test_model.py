@@ -269,6 +269,23 @@ class TestForecasterForward:
         b = Forecaster(tiny_config(), seed=11).predict(window)
         np.testing.assert_array_equal(a, b)
 
+    def test_clone_copies_parameters_and_masks_without_the_ledger(self, rng):
+        model = Forecaster(tiny_config(), seed=3)
+        model.named_params()[0][1][0, 0] = 7.0
+        model.linears()[2].m_out[1] = 0.0
+        model.ledger = object()
+        twin = model.clone()
+        assert twin.ledger is None and twin.cfg == model.cfg
+        for (name, a), (_, b) in zip(model.named_params(), twin.named_params()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert not np.shares_memory(a, b), name
+        for a, b in zip(model.linears(), twin.linears()):
+            np.testing.assert_array_equal(a.m_in, b.m_in)
+            np.testing.assert_array_equal(a.m_out, b.m_out)
+            assert not np.shares_memory(a.m_out, b.m_out)
+        window = rng.normal(0, 1, (2, 24))
+        np.testing.assert_array_equal(model.predict(window), twin.predict(window))
+
     def test_golden_regression_vector(self):
         """Frozen at first build; guards against silent forward drift."""
         model = Forecaster(tiny_config(), seed=42)
