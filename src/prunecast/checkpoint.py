@@ -1,16 +1,15 @@
 """Single-file checkpoint format.
 
 Layout: 8-byte magic ("PCKPT\\0\\0" + version byte), 4-byte little-endian
-header length, canonical-JSON UTF-8 header (config, per-layer mask bit
-arrays, EMA ledger state, per-tensor byte offsets),
-concatenated little-endian f64 tensor payloads, and a trailing CRC32 of
-everything preceding it. Round-trips are byte-exact.
+header length, canonical-JSON UTF-8 header (config, layer masks, EMA ledger,
+``tensor_index``), the little-endian f64 tensors in that order, and a CRC32
+of everything before it. Round-trips are byte-exact.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import zlib
 
 import numpy as np
@@ -25,38 +24,47 @@ MAGIC_PREFIX = b"PCKPT\x00\x00"
 VERSION = 1
 MAGIC = MAGIC_PREFIX + bytes([VERSION])
 
+_canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
-def checkpoint_bytes(model: Forecaster) -> bytes:
-    tensors = []
-    payload = bytearray()
-    for name, arr in model.named_params():
-        tensors.append({"name": name, "shape": list(arr.shape),
-                        "offset": len(payload)})
-        payload.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+def tensor_index(model: Forecaster) -> list[dict]:
+    """The payload layout: each parameter's name, shape and byte offset, in
+    ``named_params`` order at consecutive offsets."""
+    params = model.named_params()
+    offsets = np.cumsum([0] + [8 * arr.size for _, arr in params]).tolist()
+    return [{"name": name, "shape": list(arr.shape), "offset": offset}
+            for (name, arr), offset in zip(params, offsets)]
+
+
+def _chunks(model: Forecaster) -> list[bytes]:
+    """The file as byte strings: framing, header, one per tensor, CRC32."""
     for l in model.linears():
         require_binary(l)
     header = {
         "config": model.cfg.to_dict(),
-        "layers": [{"id": l.layer_id,
-                    "m_in": l.m_in.astype(int).tolist(),
-                    "m_out": l.m_out.astype(int).tolist()}
-                   for l in model.linears()],
+        "layers": [{"id": l.layer_id, "m_in": l.m_in.astype(int).tolist(),
+                    "m_out": l.m_out.astype(int).tolist()} for l in model.linears()],
         "ema": None if model.ledger is None else model.ledger.to_dict(),
-        "tensors": tensors,
+        "tensors": tensor_index(model),
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = MAGIC + len(head).to_bytes(4, "little") + head + bytes(payload)
-    return blob + (zlib.crc32(blob) & 0xFFFFFFFF).to_bytes(4, "little")
+    head = _canonical(header).encode("utf-8")
+    chunks = [MAGIC + len(head).to_bytes(4, "little"), head]
+    chunks += [np.ascontiguousarray(arr, dtype="<f8").tobytes()
+               for _, arr in model.named_params()]
+    crc = functools.reduce(lambda crc, chunk: zlib.crc32(chunk, crc), chunks, 0)
+    return chunks + [crc.to_bytes(4, "little")]
+
+
+def checkpoint_bytes(model: Forecaster) -> bytes:
+    return b"".join(_chunks(model))
 
 
 def save_checkpoint(model: Forecaster, path: str) -> None:
-    blob = checkpoint_bytes(model)
     with open(path, "wb") as f:
-        f.write(blob)
+        f.writelines(_chunks(model))
 
 
 HEADER_KEYS = ("config", "layers", "ema", "tensors")
-TENSOR_KEYS = ("name", "shape", "offset")
 LAYER_KEYS = ("id", "m_in", "m_out")
 LEDGER_KEYS = ("alpha", "batch_count", "refs", "ema", "last_raw", "alive")
 
@@ -70,21 +78,14 @@ def _require_keys(path: str, where: str, spec, keys: tuple[str, ...]) -> None:
         raise CheckpointFormatError(f"{path}: {where} lacks {', '.join(missing)}")
 
 
-def _check_shape(path: str, name, shape) -> None:
-    if not (isinstance(shape, list)
-            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
-                    for d in shape)):
-        raise CheckpointFormatError(f"{path}: tensor {name!r} has a bad shape {shape!r}")
-
-
 def load_checkpoint(path: str) -> Forecaster:
     """Rebuild the model (and its ledger, when present) from a checkpoint.
 
-    Fails closed: a path that cannot be read raises ``CheckpointError``; a
-    header that lacks a key, names an unknown, duplicate or missing tensor or
-    layer, carries a bad config (``model.config_problems``), or holds a ledger
-    that does not fit the model's channels and masks raises
-    ``CheckpointFormatError``.
+    Accepts exactly the layout the writer writes: a path that cannot be read
+    raises ``CheckpointError``; a header that lacks a key, has a bad config
+    (``model.config_problems``), a ``tensors`` index other than the config's
+    ``tensor_index``, a payload of another length, other layers or a ledger
+    that does not fit the model raises ``CheckpointFormatError``.
     """
     try:
         with open(path, "rb") as f:
@@ -105,13 +106,13 @@ def load_checkpoint(path: str) -> Forecaster:
         raise CheckpointTruncatedError(f"{path}: header declares {head_len} bytes "
                                        "but the file ends early")
     stored_crc = int.from_bytes(data[-4:], "little")
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(data)[:-4])
     if stored_crc != actual_crc:
         raise CheckpointChecksumError(f"{path}: CRC32 {actual_crc:08x} != "
                                       f"stored {stored_crc:08x}")
     try:
         header = json.loads(data[12:12 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
 
     _require_keys(path, "header", header, HEADER_KEYS)
@@ -119,7 +120,7 @@ def load_checkpoint(path: str) -> Forecaster:
     if problems:
         raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
     cfg = ForecasterConfig(**header["config"])
-    payload = data[12 + head_len:-4]
+    payload = memoryview(data)[12 + head_len:-4]
     # checked before the model is built, so a config far larger than the
     # file allocates nothing
     weights = cfg.d_model * (cfg.patch_len + cfg.horizon
@@ -128,36 +129,20 @@ def load_checkpoint(path: str) -> Forecaster:
         raise CheckpointFormatError(f"{path}: config needs {weights} weights, the "
                                     f"payload holds {len(payload) // 8} values")
     model = Forecaster(cfg, seed=0)
-    named = dict(model.named_params())
-    if not isinstance(header["tensors"], list):
-        raise CheckpointFormatError(f"{path}: header tensors must be a list")
-    seen: set[str] = set()
-    for i, spec in enumerate(header["tensors"]):
-        _require_keys(path, f"tensor entry {i}", spec, TENSOR_KEYS)
-        arr = named.get(spec["name"]) if isinstance(spec["name"], str) else None
-        if arr is None:
-            raise CheckpointFormatError(f"{path}: unknown tensor {spec['name']!r}")
-        if spec["name"] in seen:
-            raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} appears twice")
-        seen.add(spec["name"])
-        _check_shape(path, spec["name"], spec["shape"])
-        n = math.prod(spec["shape"])
-        lo = spec["offset"]
-        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
-            raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} has a bad "
-                                        f"offset {lo!r}")
-        hi = lo + n * 8
-        if hi > len(payload):
-            raise CheckpointTruncatedError(f"{path}: tensor {spec['name']!r} "
-                                           "extends past the payload")
-        vals = np.frombuffer(payload[lo:hi], dtype="<f8").reshape(spec["shape"])
-        if arr.shape != vals.shape:
-            raise CheckpointFormatError(f"{path}: tensor {spec['name']!r} has shape "
-                                        f"{vals.shape}, model expects {arr.shape}")
-        arr[...] = vals
-    missing = [name for name in named if name not in seen]
-    if missing:
-        raise CheckpointFormatError(f"{path}: header lacks tensor(s) {', '.join(missing)}")
+    index = tensor_index(model)
+    if _canonical(header["tensors"]) != _canonical(index):
+        got = header["tensors"] if isinstance(header["tensors"], list) else []
+        i = next((i for i, (a, b) in enumerate(zip(got, index))
+                  if _canonical(a) != _canonical(b)), min(len(got), len(index)))
+        want = index[i]["name"] if i < len(index) else f"absent, the config has {i} tensors"
+        raise CheckpointFormatError(f"{path}: tensors: entry {i} must be {want}")
+    params = model.named_params()
+    size = 8 * sum(arr.size for _, arr in params)
+    if len(payload) != size:
+        raise CheckpointFormatError(f"{path}: the payload holds {len(payload)} bytes, "
+                                    f"not the {size} its tensors take")
+    for (_, arr), spec in zip(params, index):
+        arr[...] = np.frombuffer(payload, "<f8", arr.size, spec["offset"]).reshape(arr.shape)
 
     linears = model.linears()
     if not isinstance(header["layers"], list) or len(header["layers"]) != len(linears):

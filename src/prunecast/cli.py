@@ -84,7 +84,7 @@ def load_config(path: str, seed: int | None = None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed

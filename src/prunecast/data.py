@@ -57,7 +57,7 @@ SYNTH_FIELDS = {"kind": Field(str, rule=SYNTH_KINDS), "seed": Field(int, 0, ">= 
                 "ar_coeff": Field(float, 0.8)}
 SCHEMA_FIELDS = {"timestamp_column": Field((str, int), None), "frequency": Field(str, None)}
 FIELDS = {"csv": Field(str, None), "synth": Field(SYNTH_FIELDS, None),
-          "schema": Field(SCHEMA_FIELDS, None), "channels": Field(list, None),
+          "schema": Field(SCHEMA_FIELDS, None), "channels": Field([str], None),
           "channel_prefix": Field(str, None), "split": Field(SPLIT_FIELDS)}
 
 
@@ -138,6 +138,8 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
         raise ParseError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     if not rows or all(not r for r in rows):
         raise ParseError(f"{path}: empty file")
+    if [] in rows:
+        raise ParseError("blank row", rows.index([]) + 1)
 
     frequency = None
     ts_col: int | None = None
@@ -177,8 +179,7 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
         raise ParseError(f"{path}: no data rows")
 
     if not explicit_ts:
-        # a blank first row has no cell to test; the width check rejects it
-        ts_col = 0 if data_rows[0] and not is_number(data_rows[0][0]) else None
+        ts_col = 0 if not is_number(data_rows[0][0]) else None
 
     width = len(first)
     keep = [j for j in range(width) if j != ts_col]

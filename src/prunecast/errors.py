@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 
@@ -40,10 +41,11 @@ _KINDS = {bool: "a bool", int: "an int", float: "a number", str: "a string",
 class Field(NamedTuple):
     """One config key: what it holds, its default and its rule.
 
-    ``kind`` is bool, int, float (any int or float), str, list, a nested
-    table (a dict of Fields), ``[k]`` for a non-empty list of ``k``, or a
-    tuple of these. A default of None also admits null. ``rule`` is a tuple
-    of choices or a range: ">= low", "[low, high]" or "(low, high]".
+    ``kind`` is bool, int, float (any int or float within the float range),
+    str, list, a nested table (a dict of Fields), ``[k]`` for a non-empty
+    list of distinct ``k``, or a tuple of these. A default of None also
+    admits null. ``rule`` is a tuple of choices or a range: ">= low",
+    "[low, high]" or "(low, high]".
     """
 
     kind: object
@@ -59,7 +61,8 @@ def _is(v, kind: type) -> bool:
 
 
 def _rule_problems(v, kind, rule, path: str) -> list[str]:
-    if kind is float and not isinstance(v, numbers.Integral) and not math.isfinite(v):
+    if kind is float and not (abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral)
+                              else math.isfinite(v)):
         return [f"{path}: must be a finite number, got {v!r}"]
     if rule is None:
         return []
@@ -85,9 +88,11 @@ def _value_problems(v, field: Field, path: str) -> list[str]:
         if isinstance(kind, list) and isinstance(v, list):
             if not v:
                 return [f"{path}: the list must not be empty"]
-            return [p for i, item in enumerate(v)
-                    for p in _value_problems(item, Field(kind[0], REQUIRED, field.rule),
-                                            f"{path}[{i}]")]
+            out = [p for i, item in enumerate(v)
+                   for p in _value_problems(item, Field(kind[0], REQUIRED, field.rule),
+                                           f"{path}[{i}]")]
+            return out + [f"{path}[{i}]: repeats {item!r}"
+                          for i, item in enumerate(v) if item in v[:i]]
         if isinstance(kind, type) and _is(v, kind):
             return _rule_problems(v, kind, field.rule, path)
     names = [_KINDS[k] if isinstance(k, type) else _KINDS[type(k)] for k in kinds]

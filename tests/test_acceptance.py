@@ -26,7 +26,7 @@ from prunecast.slicing import slice_pruned
 from prunecast.training import TrainConfig, evaluate, finetune
 from prunecast.analysis import collect_activation_probs, collect_head_norms
 
-from conftest import assert_grads_close, plant_dead_ffn_channels, \
+from oracles import assert_grads_close, plant_dead_ffn_channels, \
     plant_dead_head
 from test_slicing import brute_force_surviving, prune_random_channels
 

@@ -13,7 +13,7 @@ from prunecast.analysis import (ActivationStats, HeadNormStats,
 from prunecast.errors import ConfigError
 from prunecast.model import Forecaster
 
-from conftest import plant_dead_head
+from oracles import plant_dead_head
 from test_model import tiny_config
 
 

@@ -6,7 +6,7 @@ import pytest
 from prunecast import autodiff as ad
 from prunecast.errors import ShapeError, TapeError
 
-from conftest import assert_grads_close, central_diff
+from oracles import assert_grads_close, central_diff
 
 
 def _tape_grads(build, arrays):

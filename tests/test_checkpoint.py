@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prunecast.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
-                                  save_checkpoint)
+                                  save_checkpoint, tensor_index)
 from prunecast.errors import (CheckpointChecksumError, CheckpointError,
                               CheckpointFormatError, CheckpointTruncatedError,
                               CheckpointVersionError, PrunecastError)
@@ -97,6 +97,14 @@ class TestCorruption:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(str(path))
 
+    def test_header_int_past_the_digit_limit_fails_closed(self, tmp_path):
+        head = b'{"config":' + b"1" * 5000 + b"}"
+        body = MAGIC + len(head).to_bytes(4, "little") + head
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(CheckpointFormatError, match="unreadable header: Exceeds the limit"):
+            load_checkpoint(str(path))
+
     def test_flipped_payload_byte_fails_checksum(self, tmp_path, pruned_model):
         blob = bytearray(checkpoint_bytes(pruned_model))
         blob[-100] ^= 0xFF
@@ -106,13 +114,15 @@ class TestCorruption:
             load_checkpoint(str(path))
 
 
-def rewrite_header(blob: bytes, edit) -> bytes:
-    """Apply ``edit`` to the parsed header, re-frame it and recompute the CRC."""
+def rewrite_header(blob: bytes, edit, payload=lambda p: p) -> bytes:
+    """Apply ``edit`` to the parsed header and ``payload`` to the tensor
+    bytes, re-frame them and recompute the CRC."""
     head_len = int.from_bytes(blob[8:12], "little")
     header = json.loads(blob[12:12 + head_len])
     edit(header)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + head_len:-4]
+    body = (blob[:8] + len(head).to_bytes(4, "little") + head
+            + payload(blob[12 + head_len:-4]))
     return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
 
 
@@ -162,12 +172,15 @@ HEADER_EDITS = {
     "no-tensors": (_drop(["tensors"]), "header lacks tensors"),
     "no-layers": (_drop(["layers"]), "header lacks layers"),
     "no-ema": (_drop(["ema"]), "header lacks ema"),
-    "tensor-no-name": (_drop(["tensors", 0, "name"]), "tensor entry 0 lacks name"),
-    "tensor-no-shape": (_drop(["tensors", 1, "shape"]), "tensor entry 1 lacks shape"),
-    "tensor-no-offset": (_drop(["tensors", 2, "offset"]), "tensor entry 2 lacks offset"),
-    "tensor-bad-offset": (_set(["tensors", 2, "offset"], "0"), "bad offset"),
-    "tensor-bad-shape": (_set(["tensors", 0, "shape"], [4, -8]), "bad shape"),
-    "tensor-dropped": (_drop_tensor("embed.w"), "lacks tensor(s) embed.w"),
+    "tensor-no-name": (_drop(["tensors", 0, "name"]), "tensors: entry 0 must be embed.w"),
+    "tensor-no-shape": (_drop(["tensors", 1, "shape"]), "tensors: entry 1 must be embed.b"),
+    "tensor-no-offset": (_drop(["tensors", 2, "offset"]),
+                         "tensors: entry 2 must be block0.attn.q.w"),
+    "tensor-bad-offset": (_set(["tensors", 2, "offset"], "0"),
+                          "tensors: entry 2 must be block0.attn.q.w"),
+    "tensor-bad-shape": (_set(["tensors", 0, "shape"], [4, -8]),
+                         "tensors: entry 0 must be embed.w"),
+    "tensor-dropped": (_drop_tensor("embed.w"), "tensors: entry 0 must be embed.w"),
     "layer-dropped": (_drop(["layers", 3]), "must list"),
     "layer-no-mask": (_drop(["layers", 0, "m_out"]), "layer entry 0 lacks m_out"),
     "mask-too-short": (_set(["layers", 0, "m_in"], [1]), "embed.m_in must be 4 bits"),
@@ -228,6 +241,65 @@ class TestHeaderEdits:
         path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model), edit))
         with pytest.raises(CheckpointError, match="embed.w"):
             load_checkpoint(str(path))
+
+
+class TestExactLayout:
+    """The reader accepts only the tensor layout the writer derives from the
+    config: every parameter in ``named_params`` order at consecutive offsets,
+    and a payload exactly that long."""
+
+    def test_tensor_at_another_offset_fails_closed(self, tmp_path, pruned_model):
+        # embed.b would be filled from embed.w's bytes
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model),
+                                        _set(["tensors", 1, "offset"], 0)))
+        with pytest.raises(CheckpointFormatError, match="tensors: entry 1 must be embed.b"):
+            load_checkpoint(str(path))
+
+    def test_trailing_payload_bytes_fail_closed(self, tmp_path, pruned_model):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model), lambda header: None,
+                                        lambda payload: payload + bytes(8)))
+        with pytest.raises(CheckpointFormatError, match="the payload holds"):
+            load_checkpoint(str(path))
+
+    def test_consistent_swap_fails_closed(self, tmp_path, pruned_model):
+        # q and k (same shape, adjacent) trade places in the payload and in
+        # the index, so each entry still points at its own bytes
+        q, k = (spec["offset"] for spec in tensor_index(pruned_model)[2:4])
+
+        def swap_offsets(header):
+            header["tensors"][2]["offset"], header["tensors"][3]["offset"] = k, q
+
+        def swap_bytes(p):
+            return p[:q] + p[k:2 * k - q] + p[q:k] + p[2 * k - q:]
+
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(rewrite_header(checkpoint_bytes(pruned_model), swap_offsets,
+                                        swap_bytes))
+        with pytest.raises(CheckpointFormatError,
+                           match="tensors: entry 2 must be block0.attn.q.w"):
+            load_checkpoint(str(path))
+
+    def test_legacy_keys_are_ignored(self, tmp_path, pruned_model, rng):
+        """Older writers also stored ``index_maps`` and per-layer ``d_in``,
+        ``d_out`` and ``has_bias``."""
+        biased = {l.layer_id: l.b is not None for l in pruned_model.linears()}
+
+        def add_legacy_keys(header):
+            header["index_maps"] = {
+                l["id"]: {side: [i for i, bit in enumerate(l[f"m_{side}"]) if bit]
+                          for side in ("in", "out")} for l in header["layers"]}
+            for l in header["layers"]:
+                l.update(d_in=len(l["m_in"]), d_out=len(l["m_out"]), has_bias=biased[l["id"]])
+
+        blob = checkpoint_bytes(pruned_model)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(rewrite_header(blob, add_legacy_keys))
+        loaded = load_checkpoint(str(path))
+        windows = rng.normal(0, 1, (5, pruned_model.cfg.context_len))
+        np.testing.assert_array_equal(loaded.predict(windows), pruned_model.predict(windows))
+        assert checkpoint_bytes(loaded) == blob
 
 
 # Integers stay small enough that any model a header can describe within its

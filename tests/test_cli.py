@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from prunecast.cli import config_hash, load_config, main, validate_config
 from prunecast.data import SplitSpec, synth_dataset
-from prunecast.errors import ConfigError
+from prunecast.errors import ConfigError, Field, section_problems
 from prunecast.model import ForecasterConfig
 from prunecast.pruning import ImportanceLedger, PruneSchedule, prune_stat
 from prunecast.training import TrainConfig
@@ -145,7 +146,8 @@ class TestConfigValidation:
         ([0.5, 1.5], "prune.alpha[1]: must be a number in (0, 1], got 1.5"),
         (0, "prune.alpha: must be a number in (0, 1], got 0"),
         ([], "prune.alpha: the list must not be empty"),
-    ], ids=["str-item", "bool-item", "above-one", "zero", "empty"])
+        ([0.5, 0.3, 0.5], "prune.alpha[2]: repeats 0.5"),
+    ], ids=["str-item", "bool-item", "above-one", "zero", "empty", "repeated"])
     def test_bad_alpha_listed_with_the_rest(self, tmp_path, capsys, pipeline, alpha, needle):
         cfg = base_config(tmp_path / "out", seed="three")
         cfg["prune"]["alpha"] = alpha
@@ -205,6 +207,9 @@ class TestConfigValidation:
         (["data", "synth", "kind"], "nope", "data.synth.kind: must be one of"),
         (["data", "synth", "ar_coeff"], math.nan,
          "data.synth.ar_coeff: must be a finite number, got nan"),
+        (["train", "lr"], 10 ** 400, "train.lr: must be a finite number, got 1000"),
+        (["data", "synth", "ar_coeff"], -10 ** 400,
+         "data.synth.ar_coeff: must be a finite number, got -1000"),
     ])
     def test_bad_value_fails_before_any_work(self, tmp_path, capsys, path, value, needle):
         cfg = base_config(tmp_path / "out", seed="three")
@@ -231,6 +236,34 @@ class TestConfigValidation:
     def test_config_hash_is_pinned(self, raw, digest):
         assert config_hash(validate_config(json.loads(json.dumps(raw)))) == digest
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+                                       2 ** 1024])
+    def test_numbers_must_lie_in_the_float_range(self, value):
+        assert section_problems({"x": value}, {"x": Field(float)}, "s") == [
+            f"s.x: must be a finite number, got {value!r}"]
+
+    @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max, 10 ** 308,
+                                       2 ** 1023])
+    def test_numbers_at_the_float_range_edge_pass(self, value):
+        assert section_problems({"x": value}, {"x": Field(float)}, "s") == []
+
+    @pytest.mark.parametrize("channels, needle", [
+        ([], "data.channels: the list must not be empty"),
+        (["sine0", 3], "data.channels[1]: expected a string, got int"),
+        ("sine0", "data.channels: expected a list, got str"),
+        (["sine0", "sine0"], "data.channels[1]: repeats 'sine0'"),
+    ], ids=["empty", "not-a-string", "not-a-list", "repeated"])
+    def test_bad_channels_listed_with_the_rest(self, tmp_path, capsys, channels, needle):
+        cfg = base_config(tmp_path / "out", seed="three")
+        cfg["data"]["channels"] = channels
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert needle in err
+        assert "seed: expected an int" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_is_checked_like_the_config(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
         rc = main(["pretrain", "--config", cfg_path, "--seed", "-1"])
@@ -247,6 +280,12 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(p))
+
+    def test_int_past_the_digit_limit_reported(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
             load_config(str(p))
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecast.data import (SeriesTable, SplitSpec, load_csv, make_windows,
                             synth_dataset)
@@ -43,10 +45,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3.*ragged"):
             load_csv(path)
 
-    @pytest.mark.parametrize("text", ["a,b\n\n1,2\n3,4\n", "a\n1,2\n3,4\n"],
+    @pytest.mark.parametrize("text, needle", [("a,b\n\n1,2\n3,4\n", "line 2: blank row"),
+                                              ("a\n1,2\n3,4\n", "line 2: ragged row")],
                              ids=["blank-after-header", "header-narrower-than-rows"])
-    def test_row_off_the_header_width_rejected(self, tmp_path, text):
-        with pytest.raises(ParseError, match="line 2: ragged row"):
+    def test_row_off_the_header_width_rejected(self, tmp_path, text, needle):
+        with pytest.raises(ParseError, match=needle):
+            load_csv(write_csv(tmp_path, text))
+
+    @pytest.mark.parametrize("text, line", [("\n1,2\n3,4\n", 1), ("1,2\n\n3,4\n", 2),
+                                            ("a,b\n1,2\n3,4\n\n", 4)],
+                             ids=["first-line", "between-rows", "last-line"])
+    def test_blank_line_rejected_with_its_number(self, tmp_path, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: blank row$"):
             load_csv(write_csv(tmp_path, text))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -64,6 +74,49 @@ class TestLoadCsv:
         table = load_csv(path, schema={"timestamp_column": "idx", "frequency": "h"})
         assert table.names == ["x"]
         assert table.frequency == "h"
+
+
+# Cells a CSV row may hold: numbers, words, a blank cell and non-finite values.
+CELLS = (st.integers(-99, 99).map(str) | st.floats(-1e6, 1e6).map(repr)
+         | st.sampled_from(["", " 4 ", "x", "date", "NA", "nan", "inf", "-inf"]))
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows of one width, one of them maybe replaced by a ragged or blank row."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(CELLS, max_size=5))
+    return rows
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+class TestCsvProperty:
+    """Small CSV texts, ragged or blank rows included, either fail closed or
+    parse to a finite table with one row per data line."""
+
+    @given(rows=csv_rows())
+    def test_csv_fails_closed_or_parses(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "prop.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        try:
+            table = load_csv(str(path))
+        except (ParseError, ConfigError):
+            return
+        # the first row is a header iff it holds a cell that is not a number
+        header = any(not _is_number(cell) for cell in rows[0])
+        assert table.n_points == len(rows) - header
+        assert np.isfinite(table.values).all()
+        assert table.n_channels == len(table.names) >= 1
 
 
 def brute_force_windows(col, n_points_bounds, L, hz, stride, lookback):

@@ -8,7 +8,7 @@ from prunecast.errors import ShapeError
 from prunecast.model import (NEG_INF, Forecaster, ForecasterConfig, ForwardContext,
                              MaskedLinear)
 
-from conftest import assert_grads_close
+from oracles import assert_grads_close
 
 
 def tiny_config(**overrides):

@@ -19,7 +19,7 @@ from prunecast.pruning import (ChannelRef, ImportanceLedger, PerSampleGrads,
                                raw_importance, taylor2_importance)
 from prunecast.training import TrainConfig, finetune
 
-from conftest import assert_grads_close, plant_dead_ffn_channels, plant_dead_head
+from oracles import assert_grads_close, plant_dead_ffn_channels, plant_dead_head
 from test_model import tiny_config
 
 
