@@ -227,6 +227,30 @@ class Block:
                                      rng.normal(0, 1.0 / math.sqrt(cfg.d_ffn), (cfg.d_ffn, d)),
                                      np.zeros(d))
         self.linears = (self.wq, self.wk, self.wv, self.wo, self.ffn_up, self.ffn_down)
+        self.head_count = cfg.heads
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
+              causal: np.ndarray | None) -> Tensor:
+    """Scaled dot-product attention of ``heads`` heads side by side.
+
+    ``q`` and ``k`` are (…, T, heads·w_qk) and ``v`` is (…, T, heads·w_vo);
+    head i owns the i-th run of w columns. The heads are split into
+    (…, heads, T, w) views and run in one batched score/softmax/context
+    pass; the contexts are merged back to (…, T, heads·w_vo). ``causal``
+    is an additive (T, T) score mask.
+    """
+    lead, t = q.shape[:-2], q.shape[-2]
+
+    def split(p: Tensor) -> Tensor:
+        return ad.swap_axes(ad.reshape(p, lead + (t, heads, p.shape[-1] // heads)), -3, -2)
+
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(q, ad.transpose_last2(k)), scale)
+    if causal is not None:
+        scores = ad.add(scores, ad.constant(causal))
+    contexts = ad.matmul(ad.softmax_rows(scores), v)
+    return ad.reshape(ad.swap_axes(contexts, -3, -2), lead + (t, heads * v.shape[-1]))
 
 
 class AnalysisCapture:
@@ -259,13 +283,15 @@ class ForwardPass:
 
 
 class ForecasterBase:
-    """The forward skeleton shared by the masked model and its sliced twin.
+    """The one forward of the masked model and its sliced twin.
 
-    A subclass holds ``cfg``, ``embed``, ``blocks`` and ``head``; each block
-    holds ``norm1``, ``norm2`` and its six linear layers in ``linears``, and
-    every linear layer has ``forward(x, ctx)``. The subclass supplies only
-    the attention core (``mha_forward``) and the FFN core (``ffn_forward``),
-    each mapping a normalized (B, T, d) input to the block's residual update.
+    A subclass holds ``cfg``, ``embed``, ``blocks`` and ``head``. Each block
+    holds ``norm1``, ``norm2``, its six linear layers in ``linears`` (Q, K,
+    V, O, FFN up, FFN down) and ``head_count``, the number of heads its Q/K/V
+    outputs lay side by side. Every linear layer has ``forward(x, ctx)``:
+    a masked layer applies its masks at full width; a sliced layer reads,
+    multiplies and writes only through its own index maps. The attention
+    and FFN code below is therefore the same for both models.
     """
 
     def linears(self) -> list:
@@ -321,6 +347,27 @@ class ForecasterBase:
 
         pred = self.head.forward(ad.take_token(x, cfg.tokens - 1), ctx)
         return ForwardPass(pred, mu, sigma, ctx, cap)
+
+    def mha_forward(self, block, x: Tensor, ctx: ForwardContext | None = None,
+                    causal: np.ndarray | None = None,
+                    cap: AnalysisCapture | None = None) -> Tensor:
+        """Multi-head attention of normalized (…, T, d) tokens through O, no residual."""
+        ctx = ctx or ForwardContext()
+        x = ad.constant(x)
+        q, k, v, o = block.linears[:4]
+        merged = attention(q.forward(x, ctx), k.forward(x, ctx), v.forward(x, ctx),
+                           block.head_count, 1.0 / math.sqrt(self.cfg.head_dim), causal)
+        if cap is not None:
+            cap.head_outputs.append(self._head_outputs(block, merged.data))
+        return o.forward(merged, ctx)
+
+    def ffn_forward(self, block, xn: Tensor, ctx: ForwardContext,
+                    cap: AnalysisCapture | None = None) -> Tensor:
+        up, down = block.linears[4:]
+        act = self._activation(up.forward(xn, ctx))
+        if cap is not None:
+            cap.activations.append(act.data.copy())
+        return down.forward(act, ctx)
 
     def _activation(self, x: Tensor) -> Tensor:
         return ad.relu(x) if self.cfg.activation == "relu" else ad.gelu(x)
@@ -393,59 +440,19 @@ class Forecaster(ForecasterBase):
         return self._forward(windows, ForwardContext(tape, capture_grads),
                              AnalysisCapture() if analysis else None)
 
-    def mha_forward(self, block: Block, x: Tensor,
-                    ctx: ForwardContext | None = None,
-                    causal: np.ndarray | None = None,
-                    cap: AnalysisCapture | None = None) -> Tensor:
-        """Multi-head scaled dot-product attention over (…, T, d) tokens.
-
-        Q/K/V are split once into (…, H, T, d_h) views, and every head runs
-        in one batched score/softmax/context pass. The contexts are merged
-        back to (…, T, d) for the output projection, which sums the heads.
-        No residual add, no pre-normalization; the block wiring supplies those.
-        """
-        cfg = self.cfg
-        ctx = ctx or ForwardContext()
-        x = ad.constant(x)
-        lead, t = x.shape[:-2], x.shape[-2]
-        split = lead + (t, cfg.heads, cfg.head_dim)
-
-        def heads(proj: MaskedLinear) -> Tensor:
-            return ad.swap_axes(ad.reshape(proj.forward(x, ctx), split), -3, -2)
-
-        q, k, v = heads(block.wq), heads(block.wk), heads(block.wv)
-        # K is copied by the transpose so that Q·Kᵀ multiplies the same
-        # contiguous layout as the sliced forward, which keeps an unpruned
-        # sliced model bit-identical to this one.
-        scores = ad.scale(ad.matmul(q, ad.transpose_last2(k)),
-                          1.0 / math.sqrt(cfg.head_dim))
-        if causal is not None:
-            scores = ad.add(scores, ad.constant(causal))
-        contexts = ad.matmul(ad.softmax_rows(scores), v)
-        if cap is not None:
-            cap.head_outputs.append(self._head_outputs(block, contexts.data))
-        merged = ad.reshape(ad.swap_axes(contexts, -3, -2), lead + (t, cfg.d_model))
-        return block.wo.forward(merged, ctx)
-
     def _head_outputs(self, block: Block, contexts: np.ndarray) -> np.ndarray:
         """Per-head contributions o_i to the residual, masks applied.
 
-        ``contexts`` is the batched (…, H, T, d_h) attention context; the
-        result stacks the heads first, (H, …, T, d).
+        ``contexts`` is the merged (…, T, d) attention context, head i in
+        the columns of ``head_group(i)``; the result stacks the heads first,
+        (H, …, T, d).
         """
         outs = []
         for i in range(self.cfg.heads):
             g = self.head_group(i)
-            ci = contexts[..., i, :, :] * block.wo.m_in[g]
+            ci = contexts[..., g] * block.wo.m_in[g]
             outs.append((ci @ block.wo.w[g, :]) * block.wo.m_out)
         return np.stack(outs)
-
-    def ffn_forward(self, block: Block, xn: Tensor, ctx: ForwardContext,
-                    cap: AnalysisCapture | None) -> Tensor:
-        act = self._activation(block.ffn_up.forward(xn, ctx))
-        if cap is not None:
-            cap.activations.append(act.data.copy())
-        return block.ffn_down.forward(act, ctx)
 
     # ------------------------------------------------------------------- misc
 

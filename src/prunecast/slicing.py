@@ -1,23 +1,22 @@
 """Exact physical slicing of pruned channels.
 
 A sliced model stores exactly the mask-surviving weight entries and skips
-the pruned compute. Interior dimensions shrink the stored matrices; the
-residual stream keeps its original width via input-gather and output-
-scatter at the residual-facing sides. Where two sides meet in a product
-(Q·Kᵀ, context·W_O, activation·W_down) only the index intersection is
-computed; entries dead on either side contribute exactly zero. A head
-whose V-output ∩ W_O-input intersection is empty is dropped from compute
-entirely.
+the pruned compute. Each compact layer carries its own index maps: the
+input columns it reads, the rows of its weight they meet, the outputs it
+keeps and where it writes them. The residual-facing sides read and write
+the full model width. Where two sides meet in a product (Q·Kᵀ,
+context·W_O, activation·W_down) only the index intersection is computed;
+entries dead on either side contribute exactly zero. Q, K and V write the
+live heads side by side, each zero-padded to the block's widest one, and
+a head whose V-output ∩ W_O-input intersection is empty gets no slot.
 
-The sliced twin shares ``ForecasterBase``'s forward skeleton with the
-masked model and supplies its own attention and FFN cores. It is the only
-model that trains: ``training.finetune`` slices a masked forecaster, trains
-the twin and writes it back, so pruned coordinates never enter the tape.
+The sliced twin therefore runs ``ForecasterBase``'s forward, the same
+attention and FFN code as the masked model. It is the only model that
+trains: ``training.finetune`` slices a masked forecaster, trains the twin
+and writes it back, so pruned coordinates never enter the tape.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,39 +43,41 @@ def _positions(universe: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 class SlicedLinear:
-    """Compact storage of one masked layer: only surviving entries remain."""
+    """Compact storage of one masked layer, and the index maps it computes through.
+
+    ``forward`` reads the input columns ``cols``, meets them with the rows
+    ``rows`` of the compact weight, keeps the compact outputs ``keep`` (bias
+    included) and writes them to ``slots`` of a zero output of width
+    ``width``. Each map is a strictly increasing index array, skipped when
+    it takes everything. By default the layer reads and writes full width:
+    ``cols`` and ``slots`` are its surviving channels, and every row and
+    output is kept. ``SlicedBlock`` rewires the layers that meet inside it.
+    """
 
     def __init__(self, layer: MaskedLinear):
         require_binary(layer)
         self.layer_id = layer.layer_id
         self.in_idx = _alive(layer.m_in)
         self.out_idx = _alive(layer.m_out)
-        self.d_in_full = layer.d_in
-        self.d_out_full = layer.d_out
         self.w = layer.w[np.ix_(self.in_idx, self.out_idx)].copy()
         self.b = None if layer.b is None else layer.b[self.out_idx].copy()
-
-    def gather_input(self, x: Tensor) -> Tensor:
-        return x if self.in_idx.size == self.d_in_full else ad.gather_last(x, self.in_idx)
-
-    def affine(self, xg: Tensor, ctx: ForwardContext, rows: np.ndarray | None = None) -> Tensor:
-        """xg·W (+ b); ``rows`` picks the rows of W that xg's columns meet."""
-        w = ctx.lift(f"{self.layer_id}.w", self.w)
-        if rows is not None and rows.size != self.in_idx.size:
-            w = ad.transpose_last2(ad.gather_last(ad.transpose_last2(w), rows))
-        return self.add_bias(ad.matmul(xg, w), ctx)
-
-    def add_bias(self, y: Tensor, ctx: ForwardContext) -> Tensor:
-        return y if self.b is None else ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
-
-    def scatter_output(self, y: Tensor) -> Tensor:
-        if self.out_idx.size == self.d_out_full:
-            return y
-        return ad.scatter_last(y, self.out_idx, self.d_out_full)
+        self.cols, self.rows = self.in_idx, np.arange(self.in_idx.size)
+        self.keep, self.slots, self.width = (np.arange(self.out_idx.size), self.out_idx,
+                                             layer.d_out)
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        """Full-width in, full-width out: gather, compact affine, scatter."""
-        return self.scatter_output(self.affine(self.gather_input(x), ctx))
+        if self.cols.size != x.shape[-1]:
+            x = ad.gather_last(x, self.cols)
+        w = ctx.lift(f"{self.layer_id}.w", self.w)
+        if self.rows.size != self.w.shape[0]:
+            w = ad.transpose_last2(ad.gather_last(ad.transpose_last2(w), self.rows))
+        if self.keep.size != self.w.shape[1]:
+            w = ad.gather_last(w, self.keep)
+        y = ad.matmul(x, w)
+        if self.b is not None:
+            b = ctx.lift(f"{self.layer_id}.b", self.b)
+            y = ad.add(y, b if self.keep.size == self.b.size else ad.gather_last(b, self.keep))
+        return y if self.slots.size == self.width else ad.scatter_last(y, self.slots, self.width)
 
     def stored_weights(self) -> int:
         return self.w.size + (0 if self.b is None else self.b.size)
@@ -108,6 +109,14 @@ class _HeadPlan:
 
 
 class SlicedBlock:
+    """One block's compact layers, rewired for the shared forward.
+
+    Q, K and V write the j-th live head to slots j·w onwards, w the widest
+    live (qk, vo) width, and O reads V's slots. FFN up and down meet at the
+    channels alive on both sides of the activation. With no live head the
+    block runs one head of width 0, whose attention output is O's bias.
+    """
+
     def __init__(self, block: Block, cfg: ForecasterConfig):
         self.q = SlicedLinear(block.wq)
         self.k = SlicedLinear(block.wk)
@@ -122,15 +131,31 @@ class SlicedBlock:
         self.heads = [_HeadPlan(slice(i * d_h, (i + 1) * d_h),
                                 self.q, self.k, self.v, self.o)
                       for i in range(cfg.heads)]
+        live = [h for h in self.heads if h.alive]
+        self.head_count = max(len(live), 1)
+        for layer, pos in ((self.q, "q_pos"), (self.k, "k_pos"), (self.v, "v_pos")):
+            _pad_heads(layer, [getattr(h, pos) for h in live])
+        self.o.cols = self.v.slots
+        self.o.rows = _joined([h.o_pos for h in live])
         mid = np.intersect1d(self.up.out_idx, self.down.in_idx)
         self.mid_up_pos = _positions(self.up.out_idx, mid)
         self.mid_down_pos = _positions(self.down.in_idx, mid)
+        self.up.keep, self.down.rows = self.mid_up_pos, self.mid_down_pos
+        self.up.slots = self.down.cols = np.arange(mid.size)
+        self.up.width = mid.size
 
 
-def _bias_only(layer: SlicedLinear, x: Tensor, ctx: ForwardContext) -> Tensor:
-    """The output of a layer none of whose inputs survive: its bias alone."""
-    zeros = ad.constant(np.zeros(x.shape[:-1] + (layer.out_idx.size,)))
-    return layer.scatter_output(layer.add_bias(zeros, ctx))
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty(0, np.intp), *parts])
+
+
+def _pad_heads(layer: SlicedLinear, parts: list[np.ndarray]) -> None:
+    """Keep the compact outputs ``parts[j]`` of each live head j and write
+    them to slots j·w onwards, w the widest part."""
+    w = max((p.size for p in parts), default=0)
+    layer.keep = _joined(parts)
+    layer.slots = _joined([j * w + np.arange(p.size) for j, p in enumerate(parts)])
+    layer.width = len(parts) * w
 
 
 def _copy_norm(norm: NormParams) -> NormParams:
@@ -174,41 +199,6 @@ class SlicedForecaster(ForecasterBase):
     def forward_batch(self, windows: np.ndarray, tape: Tape | None = None) -> ForwardPass:
         """Forward a (B, L) batch of context windows through the compact weights."""
         return self._forward(windows, ForwardContext(tape), None)
-
-    def mha_forward(self, block: SlicedBlock, xn: Tensor, ctx: ForwardContext,
-                    causal: np.ndarray | None, cap: None) -> Tensor:
-        """Attention over live heads only, each at its surviving widths."""
-        alive = [h for h in block.heads if h.alive]
-        if not alive:
-            return _bias_only(block.o, xn, ctx)
-        q_c = block.q.affine(block.q.gather_input(xn), ctx)
-        k_c = block.k.affine(block.k.gather_input(xn), ctx)
-        v_c = block.v.affine(block.v.gather_input(xn), ctx)
-        inv_scale = 1.0 / math.sqrt(self.cfg.head_dim)
-        contexts = []
-        for plan in alive:
-            if plan.scored:
-                qi = ad.gather_last(q_c, plan.q_pos)
-                ki = ad.gather_last(k_c, plan.k_pos)
-                scores = ad.scale(ad.matmul(qi, ad.transpose_last2(ki)), inv_scale)
-            else:
-                scores = ad.constant(np.zeros(xn.shape[:-1] + (xn.shape[-2],)))
-            if causal is not None:
-                scores = ad.add(scores, ad.constant(causal))
-            attn = ad.softmax_rows(scores)
-            contexts.append(ad.matmul(attn, ad.gather_last(v_c, plan.v_pos)))
-        rows = np.concatenate([p.o_pos for p in alive])
-        return block.o.scatter_output(block.o.affine(ad.concat_last(contexts), ctx, rows))
-
-    def ffn_forward(self, block: SlicedBlock, xn: Tensor, ctx: ForwardContext,
-                    cap: None) -> Tensor:
-        """FFN over the channels alive on both sides of the activation."""
-        if not block.mid_up_pos.size:
-            return _bias_only(block.down, xn, ctx)
-        act = self._activation(block.up.affine(block.up.gather_input(xn), ctx))
-        if block.mid_up_pos.size != block.up.out_idx.size:
-            act = ad.gather_last(act, block.mid_up_pos)
-        return block.down.scatter_output(block.down.affine(act, ctx, block.mid_down_pos))
 
 
 def slice_pruned(model: Forecaster) -> SlicedForecaster:
