@@ -61,8 +61,9 @@ class Tape:
 
     A tape supports exactly one ``backward`` call. Gradients are retained
     for every node reached by the sweep (interior activations included),
-    unless ``backward`` is told which interior ones to keep; per-sample
-    mask-gradient extraction keeps the ones it reads. The sweep drops each
+    unless ``backward`` is told which interior ones to keep; training and
+    per-sample mask-gradient extraction keep none, as they read only leaf
+    gradients (parameters and masks, respectively). The sweep drops each
     node's backward closure once it has called it, and the rest, reached or
     not, when it ends: ``nodes`` and ``grads`` stay, the arrays the closures
     saved are freed as the sweep goes, and the tape holds no reference

@@ -41,11 +41,12 @@ _KINDS = {bool: "a bool", int: "an int", float: "a number", str: "a string",
 class Field(NamedTuple):
     """One config key: what it holds, its default and its rule.
 
-    ``kind`` is bool, int, float (any int or float within the float range),
-    str, list, a nested table (a dict of Fields), ``[k]`` for a non-empty
-    list of distinct ``k``, or a tuple of these. A default of None also
-    admits null. ``rule`` is a tuple of choices or a range: ">= low",
-    "[low, high]" or "(low, high]".
+    ``kind`` is bool, int (within ±sys.maxsize, the range numpy indexes),
+    float (any int or float within the float range), str, list, a nested
+    table (a dict of Fields), ``[k]`` for a non-empty list of distinct
+    ``k``, or a tuple of these. A default of None also admits null.
+    ``rule`` is a tuple of choices or a range: ">= low", "[low, high]" or
+    "(low, high]".
     """
 
     kind: object
@@ -61,6 +62,8 @@ def _is(v, kind: type) -> bool:
 
 
 def _rule_problems(v, kind, rule, path: str) -> list[str]:
+    if kind is int and abs(v) > sys.maxsize:
+        return [f"{path}: must be an int within ±{sys.maxsize}, got {v!r}"]
     if kind is float and not (abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral)
                               else math.isfinite(v)):
         return [f"{path}: must be a finite number, got {v!r}"]

@@ -2,9 +2,10 @@
 
 Every linear transformation carries binary input/output channel masks with
 the identity h = f(x ⊙ m_in) ⊙ m_out = x (W ⊙ m_inᵀm_out) + b ⊙ m_out.
-Forward passes can run bare (numpy only), on a gradient tape, and/or with
-capture hooks that expose the intermediates needed for per-sample mask
-gradients and sparsity diagnostics.
+Forward passes can run bare (numpy only) or on a gradient tape; the
+capture pass tiles each mask leaf to one row per window, so its gradient
+holds the per-sample mask gradients. An analysis capture keeps the
+intermediates of the sparsity diagnostics.
 """
 
 from __future__ import annotations
@@ -76,26 +77,15 @@ class ForecasterConfig:
         return {k: getattr(self, k) for k in FIELDS}
 
 
-class LinearCapture:
-    """Per-forward handles a MaskedLinear leaves behind for gradient extraction."""
-
-    __slots__ = ("x", "xm", "y", "h")
-
-    def __init__(self, x: Tensor, xm: Tensor, y: Tensor, h: Tensor):
-        self.x = x      # input before the in-mask
-        self.xm = xm    # x ⊙ m_in (gradient of this is dL/d(x_i m_i))
-        self.y = y      # affine output before the out-mask, f(x ⊙ m_in)
-        self.h = h      # y ⊙ m_out
-
-
 class ForwardContext:
-    """Carries the tape and collects leaves/captures during one forward pass.
+    """Carries the tape and collects the leaves of one forward pass.
 
     On a tape every parameter and mask becomes a watched leaf. The capture
-    pass (``capture_grads``) reads only activation gradients, so there
-    parameters and masks enter as constants and the normalized window input
-    is watched instead: every layer's x ⊙ m_in and y ⊙ m_out is still on the
-    tape, and no weight, bias, gain or mask gradient is ever formed.
+    pass (``capture_grads``) reads only mask gradients, so there parameters
+    enter as constants and each mask leaf is tiled (a broadcast view, no
+    copy) to the shape of the activation a it multiplies, one row per
+    window: its gradient is a ⊙ ∂L/∂(a ⊙ m) per window and token, and no
+    weight, bias or gain gradient is ever formed.
     """
 
     def __init__(self, tape: Tape | None = None, capture_grads: bool = False):
@@ -103,7 +93,6 @@ class ForwardContext:
         self.capture_grads = capture_grads and tape is not None
         self.param_leaves: dict[str, Tensor] = {}
         self.mask_leaves: dict[str, tuple[Tensor, Tensor]] = {}
-        self.captures: dict[str, LinearCapture] = {}
 
     def lift(self, name: str, array: np.ndarray) -> Tensor:
         if self.tape is None or self.capture_grads:
@@ -114,17 +103,14 @@ class ForwardContext:
             self.param_leaves[name] = leaf
         return leaf
 
-    def input(self, array: np.ndarray) -> Tensor:
-        """The model input: watched in the capture pass, else a constant."""
-        return self.tape.watch(array) if self.capture_grads else ad.constant(array)
-
-    def masks(self, layer: MaskedLinear) -> tuple[Tensor, Tensor]:
-        """A layer's (m_in, m_out): watched leaves on a tape, except in the capture pass."""
-        if self.capture_grads:
-            return ad.constant(layer.m_in), ad.constant(layer.m_out)
+    def masks(self, layer: MaskedLinear, lead: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        """A layer's (m_in, m_out) as watched leaves: 1-D on a plain tape,
+        tiled to the (*lead, width) activations in the capture pass."""
         leaves = self.mask_leaves.get(layer.layer_id)
         if leaves is None:
-            leaves = (self.tape.watch(layer.m_in), self.tape.watch(layer.m_out))
+            tile = lead if self.capture_grads else ()
+            leaves = tuple(self.tape.watch(np.broadcast_to(m, tile + m.shape))
+                           for m in (layer.m_in, layer.m_out))
             self.mask_leaves[layer.layer_id] = leaves
         return leaves
 
@@ -161,15 +147,11 @@ class MaskedLinear:
                 out = out * self.m_out
             return ad.constant(out)
 
-        m_in_t, m_out_t = ctx.masks(self)
-        xm = ad.mul(x, m_in_t)
-        y = ad.matmul(xm, ctx.lift(f"{self.layer_id}.w", self.w))
+        m_in_t, m_out_t = ctx.masks(self, x.shape[:-1])
+        y = ad.matmul(ad.mul(x, m_in_t), ctx.lift(f"{self.layer_id}.w", self.w))
         if self.b is not None:
             y = ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
-        h = ad.mul(y, m_out_t)
-        if ctx.capture_grads:
-            ctx.captures[self.layer_id] = LinearCapture(x, xm, y, h)
-        return h
+        return ad.mul(y, m_out_t)
 
     def folded_forward(self, x: np.ndarray) -> np.ndarray:
         """The right-hand side of the mask identity: x(W ⊙ m_inᵀm_out) + b ⊙ m_out."""
@@ -264,7 +246,8 @@ class AnalysisCapture:
 
 
 class ForwardPass:
-    """Everything one forward produced: predictions, leaves, captures."""
+    """Everything one forward produced: predictions, the context holding
+    its leaves, the de-normalization statistics and the analysis capture."""
 
     def __init__(self, pred_norm: Tensor, mu: np.ndarray, sigma: np.ndarray,
                  ctx: ForwardContext, analysis: AnalysisCapture | None):
@@ -329,7 +312,7 @@ class ForecasterBase:
         if windows.shape[-1] != cfg.context_len:
             raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
         norm_w, mu, sigma = self.normalize_windows(windows)
-        x = ctx.input(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
+        x = ad.constant(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
         x = self.embed.forward(x, ctx)
 
         causal = None
@@ -434,8 +417,8 @@ class Forecaster(ForecasterBase):
 
         Returns normalized-scale predictions; de-normalization stats ride
         along. With a tape, every parameter and mask becomes a watched leaf;
-        with ``capture_grads`` as well, only the input is watched and every
-        linear layer leaves its ``LinearCapture`` (see ``ForwardContext``).
+        with ``capture_grads`` as well, only the masks are, each tiled to
+        one row per window (see ``ForwardContext``).
         """
         return self._forward(windows, ForwardContext(tape, capture_grads),
                              AnalysisCapture() if analysis else None)

@@ -179,9 +179,6 @@ class PerSampleGrads:
         self.arrays = arrays  # (layer_id, side) -> (N, width)
         self.loss = loss
 
-    def vector(self, ref: ChannelRef) -> np.ndarray:
-        return self.arrays[(ref.layer_id, ref.side)][:, ref.index]
-
     def stacked(self, ledger: ImportanceLedger) -> np.ndarray:
         """(N, n_channels) matrix aligned with the ledger's channel order."""
         return np.concatenate([self.arrays[(layer_id, side)]
@@ -190,16 +187,15 @@ class PerSampleGrads:
 
 def per_sample_grads(model: Forecaster, contexts: np.ndarray,
                      targets: np.ndarray) -> PerSampleGrads:
-    """One batched forward/backward; per-window mask gradients extracted
-    from the tape's intermediate-node gradients.
+    """One batched forward/backward; per-window mask gradients read from
+    the tape's mask leaves.
 
-    The forward is the capture pass (``capture_grads``): parameters and
-    masks are constants, so the backward runs over activations only and
-    forms no weight, bias, gain or mask gradient, and the tape keeps only
-    the gradients read below. With the batch-mean loss, the gradient at
-    any sample-private activation equals 1/N times that sample's own loss
-    gradient, so g_{n,i} = N · Σ_tokens x_i · ∂L/∂(x_i m_i) restricted to
-    window n.
+    The forward is the capture pass (``capture_grads``): parameters are
+    constants and each mask leaf is tiled to the activation it multiplies,
+    so the backward forms no weight, bias or gain gradient, and keeps no
+    interior one. With the batch-mean loss, a leaf row private to window n
+    receives 1/N times the gradient of that window's own loss, so
+    g_{n,i} = N · Σ_tokens ∂L/∂m[n, t, i].
     """
     contexts = np.atleast_2d(contexts)
     targets = np.atleast_2d(targets)
@@ -207,23 +203,13 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     tape = Tape()
     fp = model.forward_batch(contexts, tape=tape, capture_grads=True)
     loss = ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(targets)))
-    captures = fp.ctx.captures.values()
-    tape.backward(loss, keep={t.node_id for cap in captures for t in (cap.xm, cap.h)})
+    tape.backward(loss, keep=())
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for layer in model.linears():
-        cap = fp.ctx.captures[layer.layer_id]
-        token_axes = tuple(range(1, cap.x.data.ndim - 1))
-        g_xm = tape.grads.get(cap.xm.node_id)
-        g_h = tape.grads.get(cap.h.node_id)
-        zeros_in = np.zeros((n, layer.d_in))
-        zeros_out = np.zeros((n, layer.d_out))
-        arrays[(layer.layer_id, "input")] = (
-            zeros_in if g_xm is None
-            else n * (cap.x.data * g_xm).sum(axis=token_axes))
-        arrays[(layer.layer_id, "output")] = (
-            zeros_out if g_h is None
-            else n * (cap.y.data * g_h).sum(axis=token_axes))
+        for side, leaf in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id]):
+            g = tape.grad(leaf)
+            arrays[(layer.layer_id, side)] = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
     return PerSampleGrads(arrays, loss.item())
 
 

@@ -18,12 +18,14 @@ and writes it back, so pruned coordinates never enter the tape.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .model import (Block, Forecaster, ForecasterBase, ForecasterConfig,
-                    ForwardContext, ForwardPass, MaskedLinear, NormParams)
+                    ForwardContext, ForwardPass, MaskedLinear)
 
 
 def require_binary(layer: MaskedLinear) -> None:
@@ -125,8 +127,8 @@ class SlicedBlock:
         self.up = SlicedLinear(block.ffn_up)
         self.down = SlicedLinear(block.ffn_down)
         self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
-        self.norm1 = _copy_norm(block.norm1)
-        self.norm2 = _copy_norm(block.norm2)
+        self.norm1 = copy.deepcopy(block.norm1)
+        self.norm2 = copy.deepcopy(block.norm2)
         d_h = cfg.head_dim
         self.heads = [_HeadPlan(slice(i * d_h, (i + 1) * d_h),
                                 self.q, self.k, self.v, self.o)
@@ -156,14 +158,6 @@ def _pad_heads(layer: SlicedLinear, parts: list[np.ndarray]) -> None:
     layer.keep = _joined(parts)
     layer.slots = _joined([j * w + np.arange(p.size) for j, p in enumerate(parts)])
     layer.width = len(parts) * w
-
-
-def _copy_norm(norm: NormParams) -> NormParams:
-    twin = NormParams(norm.name, norm.kind, norm.gain.size, norm.eps)
-    twin.gain = norm.gain.copy()
-    if norm.offset is not None:
-        twin.offset = norm.offset.copy()
-    return twin
 
 
 class SlicedForecaster(ForecasterBase):

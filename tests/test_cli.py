@@ -210,6 +210,11 @@ class TestConfigValidation:
         (["train", "lr"], 10 ** 400, "train.lr: must be a finite number, got 1000"),
         (["data", "synth", "ar_coeff"], -10 ** 400,
          "data.synth.ar_coeff: must be a finite number, got -1000"),
+        # sizes numpy cannot index end here, before anything is allocated
+        (["data", "synth", "n_points"], 10 ** 40,
+         f"data.synth.n_points: must be an int within ±{sys.maxsize}, got {10 ** 40}"),
+        (["model", "layers"], 10 ** 30,
+         f"model.layers: must be an int within ±{sys.maxsize}, got {10 ** 30}"),
     ])
     def test_bad_value_fails_before_any_work(self, tmp_path, capsys, path, value, needle):
         cfg = base_config(tmp_path / "out", seed="three")
@@ -246,6 +251,13 @@ class TestConfigValidation:
                                        2 ** 1023])
     def test_numbers_at_the_float_range_edge_pass(self, value):
         assert section_problems({"x": value}, {"x": Field(float)}, "s") == []
+
+    @pytest.mark.parametrize("value, ok", [(sys.maxsize, True), (-sys.maxsize, True),
+                                           (sys.maxsize + 1, False), (-sys.maxsize - 1, False)])
+    def test_ints_must_lie_in_the_index_range(self, value, ok):
+        problems = section_problems({"x": value}, {"x": Field(int)}, "s")
+        assert problems == ([] if ok else
+                            [f"s.x: must be an int within ±{sys.maxsize}, got {value!r}"])
 
     @pytest.mark.parametrize("channels, needle", [
         ([], "data.channels: the list must not be empty"),

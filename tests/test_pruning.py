@@ -122,11 +122,8 @@ class TestPerSampleGrads:
             assert np.abs(grads.arrays[(layer.layer_id, "output")]).max() == 0.0
 
     def test_per_sample_mean_equals_tape_leaf_gradient(self, rng):
-        """Manual x·∂L/∂(xm) assembly must agree with the tape's own leaf grads.
-
-        The reference is a plain tape forward, whose masks are leaves; the
-        capture pass that ``per_sample_grads`` runs has none.
-        """
+        """The batch mean of the per-window rows equals the 1-D mask-leaf
+        gradient of a plain tape forward over the same batch."""
         model = Forecaster(tiny_config(layers=2), seed=7)
         ws = small_windows(model, 5, rng)
         tape = ad.Tape()
@@ -169,13 +166,13 @@ class TestPerSampleGrads:
                     return out
 
                 fd = (loss_at(1.0 + h) - loss_at(1.0 - h)) / (2 * h)
-                assert_grads_close(grads.vector(ref)[n], fd, rtol=1e-4,
-                                   label=str(ref))
+                assert_grads_close(grads.arrays[(ref.layer_id, ref.side)][n, ref.index],
+                                   fd, rtol=1e-4, label=str(ref))
 
 
 class FullTapeContext(ForwardContext):
-    """The capture pass with every parameter and mask a watched leaf and the
-    input a constant, so the backward forms every gradient there is."""
+    """The capture pass with every parameter a watched leaf as well, so the
+    backward forms every gradient there is."""
 
     def __init__(self, tape):
         super().__init__(tape, capture_grads=True)
@@ -184,15 +181,6 @@ class FullTapeContext(ForwardContext):
         if name not in self.param_leaves:
             self.param_leaves[name] = self.tape.watch(array)
         return self.param_leaves[name]
-
-    def input(self, array):
-        return ad.constant(array)
-
-    def masks(self, layer):
-        if layer.layer_id not in self.mask_leaves:
-            self.mask_leaves[layer.layer_id] = (self.tape.watch(layer.m_in),
-                                                self.tape.watch(layer.m_out))
-        return self.mask_leaves[layer.layer_id]
 
 
 def full_tape_per_sample_grads(model, contexts, targets):
@@ -204,13 +192,9 @@ def full_tape_per_sample_grads(model, contexts, targets):
     tape.backward(loss)
     arrays = {}
     for layer in model.linears():
-        cap = fp.ctx.captures[layer.layer_id]
-        axes = tuple(range(1, cap.x.data.ndim - 1))
-        for side, (act, node) in (("input", (cap.x, cap.xm)), ("output", (cap.y, cap.h))):
-            g = tape.grads.get(node.node_id)
-            width = layer.d_in if side == "input" else layer.d_out
-            arrays[(layer.layer_id, side)] = (np.zeros((n, width)) if g is None
-                                              else n * (act.data * g).sum(axis=axes))
+        for side, leaf in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id]):
+            g = tape.grad(leaf)
+            arrays[(layer.layer_id, side)] = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
     return arrays, loss.item(), fp.ctx
 
 
@@ -223,11 +207,14 @@ def prune_at_random(model, rng, fraction=0.3):
                     mask[i] = 0.0
 
 
+SETTINGS = pytest.mark.parametrize("overrides", [
+    dict(norm="layernorm", attention="bidirectional", activation="gelu"),
+    dict(norm="rmsnorm", attention="causal", activation="relu"),
+], ids=["layernorm-bidirectional-gelu", "rmsnorm-causal-relu"])
+
+
 class TestCapturePass:
-    @pytest.mark.parametrize("overrides", [
-        dict(norm="layernorm", attention="bidirectional", activation="gelu"),
-        dict(norm="rmsnorm", attention="causal", activation="relu"),
-    ], ids=["layernorm-bidirectional-gelu", "rmsnorm-causal-relu"])
+    @SETTINGS
     def test_equals_full_tape_extraction(self, rng, overrides):
         model = Forecaster(tiny_config(layers=2, **overrides), seed=5)
         prune_at_random(model, rng)
@@ -251,7 +238,12 @@ class TestCapturePass:
         monkeypatch.setattr(np, "tensordot", tensordot)
         tape = ad.Tape()
         fp = model.forward_batch(ws.contexts, tape=tape, capture_grads=True)
-        assert fp.ctx.param_leaves == {} and fp.ctx.mask_leaves == {}
+        assert fp.ctx.param_leaves == {}
+        tokens = (4, model.cfg.tokens)
+        for layer in model.linears():
+            lead = tokens[:1] if layer is model.head else tokens
+            assert [leaf.shape for leaf in fp.ctx.mask_leaves[layer.layer_id]] == [
+                lead + (layer.d_in,), lead + (layer.d_out,)], layer.layer_id
         tape.backward(ad.mse_loss(fp.pred_norm,
                                   ad.constant(fp.normalized_targets(ws.targets))))
         per_sample_grads(model, ws.contexts, ws.targets)
@@ -261,6 +253,25 @@ class TestCapturePass:
         with pytest.raises(AssertionError, match="weight gradient"):
             plain.backward(ad.mse_loss(fp.pred_norm,
                                        ad.constant(fp.normalized_targets(ws.targets))))
+
+    @SETTINGS
+    def test_rows_equal_single_window_mask_leaf_gradients(self, rng, overrides):
+        """Row n is the 1-D mask-leaf gradient of window n's own loss, taken
+        on a plain tape that holds that window alone."""
+        model = Forecaster(tiny_config(layers=2, **overrides), seed=6)
+        prune_at_random(model, rng)
+        ws = small_windows(model, 4, rng)
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        for n in range(4):
+            tape = ad.Tape()
+            fp = model.forward_batch(ws.contexts[n:n + 1], tape=tape)
+            tape.backward(ad.mse_loss(
+                fp.pred_norm, ad.constant(fp.normalized_targets(ws.targets[n:n + 1]))))
+            for layer in model.linears():
+                for side, leaf in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id]):
+                    np.testing.assert_allclose(grads.arrays[(layer.layer_id, side)][n],
+                                               tape.grad(leaf), rtol=0, atol=1e-10,
+                                               err_msg=f"{layer.layer_id}:{side} window {n}")
 
 
 def tuple_sort_prune(ledger, k, protected):
