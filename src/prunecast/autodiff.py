@@ -1,18 +1,18 @@
 """Dense f64 tensors with a reverse-mode gradient tape.
 
 The tape records every operation applied to watched tensors and, on
-``backward``, produces gradients for all reachable nodes: parameters,
-channel-mask vectors and interior activations alike. An op computes
-gradients only for its inputs that are on the tape. Broadcasting is
-deliberately restricted to a leading batch dimension: two operands are
-compatible iff their shapes are equal or one shape is a trailing suffix of
-the other.
+``backward``, produces the gradients of its reachable leaves (parameters
+and channel-mask vectors); interior gradients are passed on and dropped.
+An op computes gradients only for its inputs that are on the tape.
+Broadcasting is deliberately restricted to a leading batch dimension: two
+operands are compatible iff their shapes are equal or one shape is a
+trailing suffix of the other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,15 +59,14 @@ class _Node:
 class Tape:
     """Append-only record of operations; inputs always precede their node.
 
-    A tape supports exactly one ``backward`` call. Gradients are retained
-    for every node reached by the sweep (interior activations included),
-    unless ``backward`` is told which interior ones to keep; training and
-    per-sample mask-gradient extraction keep none, as they read only leaf
-    gradients (parameters and masks, respectively). The sweep drops each
-    node's backward closure once it has called it, and the rest, reached or
-    not, when it ends: ``nodes`` and ``grads`` stay, the arrays the closures
-    saved are freed as the sweep goes, and the tape holds no reference
-    cycle, so it is freed as soon as the last tensor on it is.
+    A tape supports exactly one ``backward`` call. Only leaf gradients (of
+    the tensors ``watch`` made) are kept; an interior node's gradient is
+    dropped once the sweep has passed it on, and ``grad`` of an interior
+    node raises. The sweep drops each node's backward closure once it has
+    called it, and the rest, reached or not, when it ends: ``nodes`` and
+    ``grads`` stay, the arrays the closures saved are freed as the sweep
+    goes, and the tape holds no reference cycle, so it is freed as soon as
+    the last tensor on it is.
     """
 
     def __init__(self):
@@ -87,12 +86,8 @@ class Tape:
         self.nodes.append(_Node(inputs, backward))
         return len(self.nodes) - 1
 
-    def backward(self, loss: Tensor, keep: Collection[int] | None = None) -> None:
-        """Seed d(loss)/d(loss)=1 and sweep the tape in reverse.
-
-        With ``keep``, the gradient of an interior node not in it is dropped
-        once the sweep has passed it on; leaf gradients are always kept.
-        """
+    def backward(self, loss: Tensor) -> None:
+        """Seed d(loss)/d(loss)=1 and sweep the tape in reverse."""
         if loss.tape is not self or loss.node_id is None:
             raise TapeError("loss tensor is not attached to this tape")
         if loss.data.size != 1:
@@ -112,9 +107,8 @@ class Tape:
                     continue
                 in_grads = node.backward(g)
                 node.backward = None
-                if keep is not None and nid not in keep:
-                    del self.grads[nid]
-                g = None  # a dropped gradient is freed before the sums below allocate
+                del self.grads[nid]
+                g = None  # the dropped gradient is freed before the sums below allocate
                 for in_id, in_grad in zip(node.inputs, in_grads):
                     if in_grad is None:
                         continue
@@ -125,9 +119,11 @@ class Tape:
                 node.backward = None
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward's loss w.r.t. ``t`` (zeros if unreached)."""
+        """Gradient of the last backward's loss w.r.t. the leaf ``t`` (zeros if unreached)."""
         if t.tape is not self or t.node_id is None:
             raise TapeError("tensor is not watched by this tape")
+        if self.nodes[t.node_id].inputs:
+            raise TapeError("tensor is an interior node; the tape keeps leaf gradients only")
         g = self.grads.get(t.node_id)
         return np.zeros_like(t.data) if g is None else g
 

@@ -3,7 +3,9 @@
 Layout: 8-byte magic ("PCKPT\\0\\0" + version byte), 4-byte little-endian
 header length, canonical-JSON UTF-8 header (config, layer masks, EMA ledger,
 ``tensor_index``), the little-endian f64 tensors in that order, and a CRC32
-of everything before it. Round-trips are byte-exact.
+of everything before it. Round-trips are byte-exact. The reader checks the
+payload's length against the config's exact ``param_count`` before it
+allocates a model, then builds one that draws no weights and fills it.
 """
 
 from __future__ import annotations
@@ -83,9 +85,12 @@ def load_checkpoint(path: str) -> Forecaster:
 
     Accepts exactly the layout the writer writes: a path that cannot be read
     raises ``CheckpointError``; a header that lacks a key, has a bad config
-    (``model.config_problems``), a ``tensors`` index other than the config's
-    ``tensor_index``, a payload of another length, other layers or a ledger
-    that does not fit the model raises ``CheckpointFormatError``.
+    (``model.config_problems``), a payload of other than 8 · ``param_count``
+    bytes, a ``tensors`` index other than the config's ``tensor_index``,
+    other layers or a ledger that does not fit the model raises
+    ``CheckpointFormatError``. The length check runs before a model is
+    built, so a config far larger than the file allocates nothing; the
+    model is built with ``seed=None`` (no draw) and each tensor copied in.
     """
     try:
         with open(path, "rb") as f:
@@ -121,14 +126,11 @@ def load_checkpoint(path: str) -> Forecaster:
         raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
     cfg = ForecasterConfig(**header["config"])
     payload = memoryview(data)[12 + head_len:-4]
-    # checked before the model is built, so a config far larger than the
-    # file allocates nothing
-    weights = cfg.d_model * (cfg.patch_len + cfg.horizon
-                             + cfg.layers * (4 * cfg.d_model + 2 * cfg.d_ffn))
-    if 8 * weights > len(payload):
-        raise CheckpointFormatError(f"{path}: config needs {weights} weights, the "
-                                    f"payload holds {len(payload) // 8} values")
-    model = Forecaster(cfg, seed=0)
+    size = 8 * cfg.param_count
+    if len(payload) != size:
+        raise CheckpointFormatError(f"{path}: the payload holds {len(payload)} bytes, "
+                                    f"not the {size} its config's tensors take")
+    model = Forecaster(cfg, seed=None)
     index = tensor_index(model)
     if _canonical(header["tensors"]) != _canonical(index):
         got = header["tensors"] if isinstance(header["tensors"], list) else []
@@ -136,12 +138,9 @@ def load_checkpoint(path: str) -> Forecaster:
                   if _canonical(a) != _canonical(b)), min(len(got), len(index)))
         want = index[i]["name"] if i < len(index) else f"absent, the config has {i} tensors"
         raise CheckpointFormatError(f"{path}: tensors: entry {i} must be {want}")
-    params = model.named_params()
-    size = 8 * sum(arr.size for _, arr in params)
-    if len(payload) != size:
-        raise CheckpointFormatError(f"{path}: the payload holds {len(payload)} bytes, "
-                                    f"not the {size} its tensors take")
-    for (_, arr), spec in zip(params, index):
+    # copied, not viewed: the payload starts at byte 12 + head_len, and numpy
+    # would copy an unaligned view before every matmul
+    for (_, arr), spec in zip(model.named_params(), index):
         arr[...] = np.frombuffer(payload, "<f8", arr.size, spec["offset"]).reshape(arr.shape)
 
     linears = model.linears()

@@ -376,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         _write_json(out / "timings.json",
                     {"wall_seconds": time.perf_counter() - t0, **timings})
         _write_manifest(out, args.command, cfg, artifacts + ["manifest.json"])
-    except PrunecastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PrunecastError, MemoryError) as exc:  # numpy's allocation failures included
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class ForecasterConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
+
+    @property
+    def param_count(self) -> int:
+        """The exact number of weights, biases, gains and offsets the model lays out."""
+        d, f = self.d_model, self.d_ffn
+        norm = (2 if self.norm == "layernorm" else 1) * d
+        block = 4 * d * d + 2 * d * f + 3 * d + f + 2 * norm
+        return (self.patch_len + 1) * d + self.layers * block + (d + 1) * self.horizon
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in FIELDS}
@@ -167,9 +176,6 @@ class MaskedLinear:
             n += int(self.m_out.sum())
         return n
 
-    def total_weights(self) -> int:
-        return self.w.size + (0 if self.b is None else self.b.size)
-
 
 class NormParams:
     """LayerNorm (gain+offset) or RMSNorm (gain only) over the model dim."""
@@ -193,21 +199,17 @@ class NormParams:
 
 
 class Block:
-    def __init__(self, index: int, cfg: ForecasterConfig, rng: np.random.Generator):
-        d = cfg.d_model
+    def __init__(self, index: int, cfg: ForecasterConfig, draw: Callable[[int, int], np.ndarray]):
+        d, f = cfg.d_model, cfg.d_ffn
         prefix = f"block{index}"
-        std = 1.0 / math.sqrt(d)
-        self.wq = MaskedLinear(f"{prefix}.attn.q", rng.normal(0, std, (d, d)), None)
-        self.wk = MaskedLinear(f"{prefix}.attn.k", rng.normal(0, std, (d, d)), None)
-        self.wv = MaskedLinear(f"{prefix}.attn.v", rng.normal(0, std, (d, d)), np.zeros(d))
-        self.wo = MaskedLinear(f"{prefix}.attn.o", rng.normal(0, std, (d, d)), np.zeros(d))
+        self.wq = MaskedLinear(f"{prefix}.attn.q", draw(d, d), None)
+        self.wk = MaskedLinear(f"{prefix}.attn.k", draw(d, d), None)
+        self.wv = MaskedLinear(f"{prefix}.attn.v", draw(d, d), np.zeros(d))
+        self.wo = MaskedLinear(f"{prefix}.attn.o", draw(d, d), np.zeros(d))
         self.norm1 = NormParams(f"{prefix}.norm1", cfg.norm, d)
         self.norm2 = NormParams(f"{prefix}.norm2", cfg.norm, d)
-        self.ffn_up = MaskedLinear(f"{prefix}.ffn.up",
-                                   rng.normal(0, std, (d, cfg.d_ffn)), np.zeros(cfg.d_ffn))
-        self.ffn_down = MaskedLinear(f"{prefix}.ffn.down",
-                                     rng.normal(0, 1.0 / math.sqrt(cfg.d_ffn), (cfg.d_ffn, d)),
-                                     np.zeros(d))
+        self.ffn_up = MaskedLinear(f"{prefix}.ffn.up", draw(d, f), np.zeros(f))
+        self.ffn_down = MaskedLinear(f"{prefix}.ffn.down", draw(f, d), np.zeros(d))
         self.linears = (self.wq, self.wk, self.wv, self.wo, self.ffn_up, self.ffn_down)
         self.head_count = cfg.heads
 
@@ -369,20 +371,28 @@ class ForecasterBase:
 
 
 class Forecaster(ForecasterBase):
-    """Stack of pre-norm transformer blocks over patch tokens."""
+    """Stack of pre-norm transformer blocks over patch tokens.
 
-    def __init__(self, cfg: ForecasterConfig, seed: int = 0):
+    With a seed, every weight matrix is drawn from N(0, 1/√d_in), in the
+    order embed, per block Q, K, V, O, FFN up, FFN down, head. With
+    ``seed=None`` the weights are zeros and nothing is drawn: the model is
+    a layout for ``load_checkpoint`` to fill. Biases and offsets start at
+    zero, gains and masks at one.
+    """
+
+    def __init__(self, cfg: ForecasterConfig, seed: int | None = 0):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.embed = MaskedLinear(
-            "embed", rng.normal(0, 1.0 / math.sqrt(cfg.patch_len),
-                                (cfg.patch_len, cfg.d_model)),
-            np.zeros(cfg.d_model))
-        self.blocks = [Block(i, cfg, rng) for i in range(cfg.layers)]
-        self.head = MaskedLinear(
-            "head", rng.normal(0, 1.0 / math.sqrt(cfg.d_model),
-                               (cfg.d_model, cfg.horizon)),
-            np.zeros(cfg.horizon))
+        rng = None if seed is None else np.random.default_rng(seed)
+
+        def draw(d_in: int, d_out: int) -> np.ndarray:
+            if rng is None:
+                return np.zeros((d_in, d_out))
+            return rng.normal(0, 1.0 / math.sqrt(d_in), (d_in, d_out))
+
+        self.embed = MaskedLinear("embed", draw(cfg.patch_len, cfg.d_model),
+                                  np.zeros(cfg.d_model))
+        self.blocks = [Block(i, cfg, draw) for i in range(cfg.layers)]
+        self.head = MaskedLinear("head", draw(cfg.d_model, cfg.horizon), np.zeros(cfg.horizon))
         self.ledger = None  # attached by the pruner; serialized with checkpoints
 
     # ------------------------------------------------------------------ layout
@@ -398,8 +408,7 @@ class Forecaster(ForecasterBase):
         return slice(head * d_h, (head + 1) * d_h)
 
     def total_param_count(self) -> int:
-        n = sum(l.total_weights() for l in self.linears())
-        return n + sum(norm.param_count() for norm in self.norms())
+        return self.cfg.param_count
 
     def surviving_param_count(self) -> int:
         n = sum(l.surviving_weights() for l in self.linears())

@@ -110,10 +110,6 @@ class ImportanceLedger:
     def alive_count(self) -> int:
         return int(self.alive.sum())
 
-    def check_invariants(self) -> None:
-        if (self.ema < 0).any():
-            raise AssertionError("EMA of nonnegative scores went negative")
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -192,9 +188,9 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
 
     The forward is the capture pass (``capture_grads``): parameters are
     constants and each mask leaf is tiled to the activation it multiplies,
-    so the backward forms no weight, bias or gain gradient, and keeps no
-    interior one. With the batch-mean loss, a leaf row private to window n
-    receives 1/N times the gradient of that window's own loss, so
+    so the backward forms no weight, bias or gain gradient. With the
+    batch-mean loss, a leaf row private to window n receives 1/N times the
+    gradient of that window's own loss, so
     g_{n,i} = N · Σ_tokens ∂L/∂m[n, t, i].
     """
     contexts = np.atleast_2d(contexts)
@@ -203,7 +199,7 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     tape = Tape()
     fp = model.forward_batch(contexts, tape=tape, capture_grads=True)
     loss = ad.mse_loss(fp.pred_norm, ad.constant(fp.normalized_targets(targets)))
-    tape.backward(loss, keep=())
+    tape.backward(loss)
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for layer in model.linears():
@@ -358,7 +354,6 @@ def progressive_prune(model: Forecaster, windows: WindowSet, schedule: PruneSche
                 done = True
             if done:
                 break
-    ledger.check_invariants()
     model.ledger = ledger
     return ledger, trace
 

@@ -172,14 +172,13 @@ class SlicedForecaster(ForecasterBase):
         self.embed = SlicedLinear(model.embed)
         self.blocks = [SlicedBlock(b, model.cfg) for b in model.blocks]
         self.head = SlicedLinear(model.head)
-        self._total = model.total_param_count()
 
     def param_count(self) -> int:
         n = sum(l.stored_weights() for l in self.linears())
         return n + sum(norm.param_count() for norm in self.norms())
 
     def param_fraction(self) -> float:
-        return self.param_count() / self._total
+        return self.param_count() / self.cfg.param_count
 
     def write_back(self, model: Forecaster) -> None:
         """Copy trained compact weights into the full-size master model."""

@@ -161,7 +161,7 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b // cfg.batch_size}, "
                     f"lr {cfg.lr}")
-            tape.backward(loss, keep=())  # only the parameter leaves are read
+            tape.backward(loss)
             grads = {name: tape.grad(leaf)
                      for name, leaf in fp.ctx.param_leaves.items()}
             if not cfg.update_norm_params:

@@ -151,11 +151,11 @@ class TestCsvOutputs:
         write_ffn_probs_csv(str(p2), act_stats)
         write_magnitude_cdf_csv(str(p3), model, "row")
 
-        rows = list(csv.reader(p1.open()))
+        rows = list(csv.reader(p1.read_text().splitlines()))
         assert rows[0] == ["layer", "head", "mean_ratio", "tokens", "skipped"]
         assert len(rows) == 1 + model.cfg.heads
-        rows = list(csv.reader(p2.open()))
+        rows = list(csv.reader(p2.read_text().splitlines()))
         assert len(rows) == 1 + model.cfg.d_ffn
-        rows = list(csv.reader(p3.open()))
+        rows = list(csv.reader(p3.read_text().splitlines()))
         assert len(rows) == 1 + 1000
         assert float(rows[-1][2]) == 1.0

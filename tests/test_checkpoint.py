@@ -59,6 +59,21 @@ class TestRoundTrip:
         assert loaded.ledger.alpha == pruned_model.ledger.alpha
         assert loaded.ledger.batch_count == pruned_model.ledger.batch_count
 
+    def test_load_draws_no_weights(self, tmp_path, pruned_model, rng, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(pruned_model, str(path))
+        windows = rng.normal(0, 1, (5, pruned_model.cfg.context_len))
+
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr("prunecast.model.np.random.default_rng", lambda *a, **k: NoDraws())
+        loaded = load_checkpoint(str(path))
+        np.testing.assert_array_equal(loaded.predict(windows), pruned_model.predict(windows))
+        blank = Forecaster(tiny_config(), seed=None)
+        assert not any(layer.w.any() for layer in blank.linears())
+
     def test_non_binary_mask_is_not_saved(self, pruned_model):
         pruned_model.blocks[0].ffn_up.m_out[0] = 0.5  # would be written as 0
         with pytest.raises(ValueError, match="not binary"):
@@ -212,7 +227,8 @@ HEADER_EDITS = {
     "ledger-alpha-zero": (_set(["ema", "alpha"], 0.0), "alpha: must be a number"),
     "ledger-alpha-str": (_set(["ema", "alpha"], "0.5"), "alpha: must be a number"),
     "config-beyond-payload": (_set(["config", "d_model"], 4096),
-                              "config needs 134520832 weights, the payload holds 1262"),
+                              "the payload holds 10096 bytes, not the 1076658480 its "
+                              "config's tensors take"),
 }
 
 

@@ -4,15 +4,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prunecast.cli import config_hash, load_config, main, validate_config
+import prunecast
+from prunecast.cli import THREAD_ENV_VARS, config_hash, load_config, main, validate_config
 from prunecast.data import SplitSpec, synth_dataset
 from prunecast.errors import ConfigError, Field, section_problems
 from prunecast.model import ForecasterConfig
@@ -287,6 +291,34 @@ class TestConfigValidation:
         rc = main(["pretrain", "--config", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read")
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 14.9 GiB for an array with shape (2000000000,)"),
+         "Unable to allocate 14.9 GiB for an array with shape (2000000000,)"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure_fails_closed(self, tmp_path, capsys, monkeypatch, exc, message):
+        def synth_dataset(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("prunecast.data.synth_dataset", synth_dataset)
+        rc = main(["pretrain", "--config", write_config(tmp_path, base_config(tmp_path / "out"))])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_thread_cap_is_exported_before_numpy_loads(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+        env["PRUNECAST_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(prunecast.__file__).parents[1])
+        script = ("import os, sys\n"
+                  "import prunecast.cli as cli\n"
+                  "loaded = 'numpy' in sys.modules\n"
+                  f"rc = cli.main(['pretrain', '--config', {str(tmp_path / 'absent.json')!r}])\n"
+                  "print(loaded, rc, *(os.environ.get(v) for v in cli.THREAD_ENV_VARS))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["False", "1"] + ["1"] * len(THREAD_ENV_VARS), proc.stderr
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"

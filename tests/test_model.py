@@ -1,12 +1,14 @@
 """Forecaster tests: mask identity, attention oracle, causality, regression."""
 
+import math
+
 import numpy as np
 import pytest
 
 from prunecast import autodiff as ad
 from prunecast.errors import ShapeError
-from prunecast.model import (NEG_INF, Forecaster, ForecasterConfig, ForwardContext,
-                             MaskedLinear)
+from prunecast.model import (NEG_INF, NORM_KINDS, Forecaster, ForecasterConfig,
+                             ForwardContext, MaskedLinear)
 
 from oracles import assert_grads_close
 
@@ -262,6 +264,27 @@ class TestForecasterForward:
         model = Forecaster(tiny_config(), seed=0)
         with pytest.raises(ShapeError, match="window length"):
             model.forward_window(np.zeros(model.cfg.context_len + 1))
+
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_seeded_weights_follow_the_draw_order(self, norm, seed):
+        """embed; per block Q, K, V, O, FFN up, FFN down; head, each N(0, 1/√d_in)."""
+        cfg = tiny_config(norm=norm, d_ffn=12)
+        d, f = cfg.d_model, cfg.d_ffn
+        rng = np.random.default_rng(seed)
+        expected = [rng.normal(0, 1.0 / math.sqrt(cfg.patch_len), (cfg.patch_len, d))]
+        for _ in range(cfg.layers):
+            std = 1.0 / math.sqrt(d)
+            expected += [rng.normal(0, std, (d, d)) for _ in "qkvo"]
+            expected += [rng.normal(0, std, (d, f)), rng.normal(0, 1.0 / math.sqrt(f), (f, d))]
+        expected.append(rng.normal(0, 1.0 / math.sqrt(d), (d, cfg.horizon)))
+        model = Forecaster(cfg, seed=seed)
+        assert len(model.linears()) == len(expected)
+        for layer, w in zip(model.linears(), expected):
+            np.testing.assert_array_equal(layer.w, w, err_msg=layer.layer_id)
+        for name, arr in model.named_params():
+            if not name.endswith(".w"):
+                assert (arr == (1.0 if name.endswith(".gain") else 0.0)).all(), name
 
     def test_deterministic_construction_and_forward(self, rng):
         window = rng.normal(0, 1, (2, 24))

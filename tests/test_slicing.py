@@ -300,6 +300,7 @@ class TestModelContract:
         assert np.abs(sliced.predict(windows) - model.predict(windows)).max() <= 1e-9
         assert sliced.param_count() == model.surviving_param_count() \
             == brute_force_surviving(model)
+        assert cfg.param_count == sum(a.size for _, a in model.named_params())
 
         blob = checkpoint_bytes(model)
         with tempfile.TemporaryDirectory() as root:
