@@ -1,56 +1,17 @@
 """Structured prune-then-finetune toolkit for transformer forecasters.
 
-Submodules are imported lazily so the CLI can cap BLAS thread pools via
-PRUNECAST_THREADS before numpy loads.
+Python runs this file before any ``prunecast.<module>``, so a set
+PRUNECAST_THREADS caps the BLAS thread pools here, before numpy loads.
+Variables already set are left as they are.
 """
+
+import os
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "Tape": "autodiff",
-    "Tensor": "autodiff",
-    "Forecaster": "model",
-    "ForecasterConfig": "model",
-    "MaskedLinear": "model",
-    "SlicedForecaster": "slicing",
-    "slice_pruned": "slicing",
-    "save_checkpoint": "checkpoint",
-    "load_checkpoint": "checkpoint",
-    "SeriesTable": "data",
-    "SplitSpec": "data",
-    "WindowSet": "data",
-    "load_csv": "data",
-    "make_windows": "data",
-    "synth_dataset": "data",
-    "ChannelRef": "pruning",
-    "ImportanceLedger": "pruning",
-    "PruneSchedule": "pruning",
-    "per_sample_grads": "pruning",
-    "progressive_prune": "pruning",
-    "prune_stat": "pruning",
-    "oracle_importance": "pruning",
-    "raw_importance": "pruning",
-    "collect_head_norms": "analysis",
-    "collect_activation_probs": "analysis",
-    "sparse_channel_fraction": "analysis",
-    "magnitude_cdf": "analysis",
-    "TrainConfig": "training",
-    "EvalReport": "training",
-    "finetune": "training",
-    "evaluate": "training",
-    "bench_inference": "training",
-}
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_EXPORTS))
+if os.environ.get("PRUNECAST_THREADS"):
+    for _var in THREAD_ENV_VARS:
+        os.environ.setdefault(_var, os.environ["PRUNECAST_THREADS"])

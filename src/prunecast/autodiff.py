@@ -206,10 +206,6 @@ def scale(a, c: float) -> Tensor:
     return _record([a], a.data * c, lambda g: (g * c,))
 
 
-def sub(a, b) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; supports (m,k)@(k,n), (...,m,k)@(k,n) and batched
     (...,m,k)@(...,k,n) with identical leading dimensions."""

@@ -1,7 +1,5 @@
 """Command-line pipeline: pretrain, analyze, prune, finetune, eval, bench, transfer.
 
-Heavy imports happen inside functions so the PRUNECAST_THREADS cap can be
-exported to the BLAS thread-pool environment variables before numpy loads.
 Every command writes its artifacts plus a manifest under --out; wall-clock
 figures go to a separate timings.json so re-runs stay byte-identical.
 """
@@ -9,25 +7,25 @@ figures go to a separate timings.json so re-runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+# Modules, not names: a function looked up on its module at call time is the
+# one a test or a tracer has put there.
+from . import __version__, analysis, checkpoint, data, pruning, slicing, training
 from .errors import ConfigError, Field, PrunecastError, section_problems
+from .model import Forecaster, ForecasterConfig, config_problems
 
-THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                   "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("PRUNECAST_THREADS")
-    if cap:
-        for var in THREAD_ENV_VARS:
-            os.environ.setdefault(var, cap)
+# cmd_bench's timing loop
+BENCH_REPEATS = 50
+BENCH_WARMUP = 3
 
 
 # --------------------------------------------------------------------- config
@@ -42,9 +40,6 @@ def _normalized(d: dict, fields: dict) -> dict:
 def validate_config(raw: dict) -> dict:
     """Normalize a run config, rejecting unknown keys; lists every violation.
     A section's keys, defaults and rules are the ``FIELDS`` of its module."""
-    from . import data, pruning, training
-    from .model import ForecasterConfig, config_problems
-
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     fields = {"seed": Field(int, 0, ">= 0"), "out_dir": Field(str),
@@ -100,15 +95,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) -> None:
-    import numpy
-    from . import __version__
-
     manifest = {
         "command": command,
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "versions": {"python": sys.version.split()[0],
-                     "numpy": numpy.__version__,
+                     "numpy": np.__version__,
                      "prunecast": __version__},
         "artifacts": sorted(artifacts),
     }
@@ -118,15 +110,13 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]) ->
 def _windows(data_cfg: dict, mc, parts: tuple[str, ...]) -> dict:
     """Build the data table once and cut every named part from it, windowed
     for the model config ``mc``."""
-    from .data import SplitSpec, load_csv, make_windows, synth_dataset
-
     if data_cfg.get("csv"):
-        table = load_csv(data_cfg["csv"], data_cfg.get("schema"))
+        table = data.load_csv(data_cfg["csv"], data_cfg.get("schema"))
     else:
         synth = data_cfg["synth"]
-        table = synth_dataset(synth["kind"], synth["seed"],
-                              (synth["n_points"], synth["n_channels"]),
-                              ar_coeff=synth["ar_coeff"])
+        table = data.synth_dataset(synth["kind"], synth["seed"],
+                                   (synth["n_points"], synth["n_channels"]),
+                                   ar_coeff=synth["ar_coeff"])
     if data_cfg.get("channels"):
         unknown = [n for n in data_cfg["channels"] if n not in table.names]
         if unknown:
@@ -138,25 +128,21 @@ def _windows(data_cfg: dict, mc, parts: tuple[str, ...]) -> dict:
             raise ConfigError(f"no channels match prefix {data_cfg['channel_prefix']!r}")
         table = table.select(names)
     s = data_cfg["split"]
-    spec = SplitSpec(s["train"], s["val"], s["test"], context_len=mc.context_len,
-                     horizon=mc.horizon, stride=s["stride"])
-    return {part: make_windows(table, spec, part) for part in parts}
+    spec = data.SplitSpec(s["train"], s["val"], s["test"], context_len=mc.context_len,
+                          horizon=mc.horizon, stride=s["stride"])
+    return {part: data.make_windows(table, spec, part) for part in parts}
 
 
 def _train_config(cfg: dict):
-    from .training import TrainConfig
-
     t = cfg["train"]
-    return TrainConfig(lr=t["lr"], batch_size=t["batch_size"],
-                       max_epochs=t["max_epochs"], patience=t["patience"],
-                       optimizer=t["optimizer"], seed=cfg["seed"],
-                       update_norm_params=t["update_norm_params"])
+    return training.TrainConfig(lr=t["lr"], batch_size=t["batch_size"],
+                                max_epochs=t["max_epochs"], patience=t["patience"],
+                                optimizer=t["optimizer"], seed=cfg["seed"],
+                                update_norm_params=t["update_norm_params"])
 
 
-def _load_model(checkpoint: str, cfg: dict):
-    from .checkpoint import load_checkpoint
-
-    model = load_checkpoint(checkpoint)
+def _load_model(path: str, cfg: dict):
+    model = checkpoint.load_checkpoint(path)
     if cfg["model"] is not None and cfg["model"] != model.cfg.to_dict():
         raise ConfigError(
             "checkpoint/model config mismatch: checkpoint was built with "
@@ -173,31 +159,24 @@ def _load_model(checkpoint: str, cfg: dict):
 
 
 def cmd_pretrain(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
-    from .checkpoint import save_checkpoint
-    from .training import evaluate, finetune
-
-    model, history = finetune(model, ws["train"], ws["val"], _train_config(cfg))
-    save_checkpoint(model, str(out / "model.ckpt"))
+    model, history = training.finetune(model, ws["train"], ws["val"], _train_config(cfg))
+    checkpoint.save_checkpoint(model, str(out / "model.ckpt"))
     report = {"history": history,
-              "val_mse": evaluate(model, ws["val"],
-                                  cfg["train"]["normalized_metrics"]).mse,
+              "val_mse": training.evaluate(model, ws["val"],
+                                           cfg["train"]["normalized_metrics"]).mse,
               "param_fraction": model.param_fraction()}
     _write_json(out / "pretrain_report.json", report)
     return ["model.ckpt", "pretrain_report.json"], {}
 
 
 def cmd_analyze(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
-    from .analysis import (collect_activation_probs, collect_head_norms,
-                           sparse_channel_fraction, write_ffn_probs_csv,
-                           write_head_norms_csv, write_magnitude_cdf_csv)
-
-    head_stats = collect_head_norms(model, ws["train"])
-    act_stats = collect_activation_probs(model, ws["train"])
-    write_head_norms_csv(str(out / "head_norms.csv"), head_stats)
-    write_ffn_probs_csv(str(out / "ffn_probs.csv"), act_stats)
-    write_magnitude_cdf_csv(str(out / "magnitude_cdf.csv"), model, "element")
+    head_stats = analysis.collect_head_norms(model, ws["train"])
+    act_stats = analysis.collect_activation_probs(model, ws["train"])
+    analysis.write_head_norms_csv(str(out / "head_norms.csv"), head_stats)
+    analysis.write_ffn_probs_csv(str(out / "ffn_probs.csv"), act_stats)
+    analysis.write_magnitude_cdf_csv(str(out / "magnitude_cdf.csv"), model, "element")
     summary = {
-        "sparse_channel_fraction_at_5pct": sparse_channel_fraction(act_stats, 0.05),
+        "sparse_channel_fraction_at_5pct": analysis.sparse_channel_fraction(act_stats, 0.05),
         "mean_head_norm_per_layer": [s.means().mean() for s in head_stats],
         "skipped_tokens": [s.skipped for s in head_stats],
     }
@@ -207,34 +186,26 @@ def cmd_analyze(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]
 
 
 def _prune_one(model, cfg: dict, alpha: float, windows):
-    from .analysis import collect_activation_probs, collect_head_norms
-    from .pruning import (ImportanceLedger, PruneSchedule, progressive_prune,
-                          prune_stat)
-
     p = cfg["prune"]
     trace = None
     if p["variant"] in ("stat", "stat_then_importance"):
-        head_stats = collect_head_norms(model, windows)
-        act_stats = collect_activation_probs(model, windows)
-        prune_stat(model, head_stats, act_stats,
-                   p["head_threshold"], p["act_threshold"])
+        head_stats = analysis.collect_head_norms(model, windows)
+        act_stats = analysis.collect_activation_probs(model, windows)
+        pruning.prune_stat(model, head_stats, act_stats,
+                           p["head_threshold"], p["act_threshold"])
     if p["variant"] in ("importance", "stat_then_importance"):
-        schedule = PruneSchedule(ratio_per_epoch=p["ratio_per_epoch"],
-                                 epochs=p["epochs"], batch_size=p["batch_size"],
-                                 k=p["k"], seed=cfg["seed"],
-                                 target_param_fraction=p["target_param_fraction"])
-        _, trace = progressive_prune(model, windows, schedule, alpha=alpha)
+        schedule = pruning.PruneSchedule(ratio_per_epoch=p["ratio_per_epoch"],
+                                         epochs=p["epochs"], batch_size=p["batch_size"],
+                                         k=p["k"], seed=cfg["seed"],
+                                         target_param_fraction=p["target_param_fraction"])
+        _, trace = pruning.progressive_prune(model, windows, schedule, alpha=alpha)
     else:
-        model.ledger = ImportanceLedger.from_model(model, alpha)
+        model.ledger = pruning.ImportanceLedger.from_model(model, alpha)
     return trace
 
 
 def cmd_prune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
     """Prune a fresh clone of the loaded model once per ``prune.alpha`` value."""
-    import csv as csv_mod
-
-    from .checkpoint import save_checkpoint
-
     alphas = cfg["prune"]["alpha"]
     if not isinstance(alphas, list):
         alphas = [alphas]
@@ -245,7 +216,7 @@ def cmd_prune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
         trace = _prune_one(pruned, cfg, float(alpha), ws["train"])
         tag = f"alpha{alpha}"
         ckpt_name = f"pruned_{tag}.ckpt"
-        save_checkpoint(pruned, str(out / ckpt_name))
+        checkpoint.save_checkpoint(pruned, str(out / ckpt_name))
         artifacts.append(ckpt_name)
         if trace is not None:
             trace_name = f"trace_{tag}.jsonl"
@@ -253,7 +224,7 @@ def cmd_prune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
             artifacts.append(trace_name)
         scores_name = f"scores_{tag}.csv"
         with open(out / scores_name, "w", newline="", encoding="utf-8") as f:
-            w = csv_mod.writer(f)
+            w = csv.writer(f)
             w.writerow(["layer", "side", "index", "ema_score", "alive"])
             for row in pruned.ledger.scores_csv_rows():
                 w.writerow(row)
@@ -267,11 +238,8 @@ def cmd_prune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
 
 
 def cmd_finetune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
-    from .checkpoint import save_checkpoint
-    from .training import finetune
-
-    _, history = finetune(model, ws["train"], ws["val"], _train_config(cfg))
-    save_checkpoint(model, str(out / "finetuned.ckpt"))
+    _, history = training.finetune(model, ws["train"], ws["val"], _train_config(cfg))
+    checkpoint.save_checkpoint(model, str(out / "finetuned.ckpt"))
     _write_json(out / "finetune_history.json",
                 {"history": history, "mode": cfg["train"]["mode"],
                  "param_fraction": model.param_fraction()})
@@ -281,29 +249,24 @@ def cmd_finetune(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict
 def cmd_report(cfg: dict, out: Path, model, ws: dict,
                report: str) -> tuple[list[str], dict]:
     """Evaluate on the test part; eval and transfer differ only in ``report``."""
-    from .training import evaluate
-
     normalized = cfg["train"]["normalized_metrics"] if cfg.get("train") else True
-    result = evaluate(model, ws["test"], normalized=normalized)
+    result = training.evaluate(model, ws["test"], normalized=normalized)
     _write_json(out / report, result.to_dict())
     return [report], {"inference_seconds": result.inference_seconds}
 
 
-def cmd_bench(cfg: dict, out: Path, model, ws: dict,
-              repeats: int = 50, warmup: int = 3) -> tuple[list[str], dict]:
-    from .slicing import slice_pruned
-    from .training import bench_inference
-
+def cmd_bench(cfg: dict, out: Path, model, ws: dict) -> tuple[list[str], dict]:
     test = ws["test"]
     # all variates at one timestep form the batch
     n_channels = len(set(test.channels.tolist()))
     per_channel = len(test) // n_channels
     batch = test.contexts[::per_channel][:n_channels]
-    original = bench_inference(model, batch, repeats=repeats, warmup=warmup)
-    sliced = bench_inference(slice_pruned(model), batch, repeats=repeats,
-                             warmup=warmup)
+    original = training.bench_inference(model, batch, repeats=BENCH_REPEATS,
+                                        warmup=BENCH_WARMUP)
+    sliced = training.bench_inference(slicing.slice_pruned(model), batch,
+                                      repeats=BENCH_REPEATS, warmup=BENCH_WARMUP)
     _write_json(out / "bench_report.json",
-                {"repeats": repeats, "warmup": warmup, "batch": original["batch"],
+                {"repeats": BENCH_REPEATS, "warmup": BENCH_WARMUP, "batch": original["batch"],
                  "param_fraction": model.param_fraction()})
     return ["bench_report.json"], {"original_mean_s": original["mean_s"],
                                    "original_std_s": original["std_s"],
@@ -348,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     command, sections, parts = _COMMANDS[args.command]
     try:
@@ -360,8 +322,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"this command needs config section(s): {', '.join(missing)}")
         t0 = time.perf_counter()
         if "model" in sections:
-            from .model import Forecaster, ForecasterConfig
-
             model = Forecaster(ForecasterConfig(**cfg["model"]), seed=cfg["seed"])
         else:
             model = _load_model(args.checkpoint, cfg)

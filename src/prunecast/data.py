@@ -104,9 +104,6 @@ class WindowSet:
     def __len__(self) -> int:
         return self.contexts.shape[0]
 
-    def __getitem__(self, i: int):
-        return self.contexts[i], self.targets[i], int(self.channels[i])
-
     def subset(self, idx: np.ndarray) -> "WindowSet":
         return WindowSet(self.contexts[idx], self.targets[idx],
                          self.channels[idx], self.channel_names)

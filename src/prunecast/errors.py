@@ -131,7 +131,8 @@ class CheckpointError(PrunecastError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """File does not start with the checkpoint magic."""
+    """The magic, header, tensor index, payload length, masks or ledger are
+    malformed."""
 
 
 class CheckpointVersionError(CheckpointError):

@@ -219,7 +219,7 @@ def raw_importance(per_sample: np.ndarray) -> np.ndarray | float:
         squeeze = False
     if g.shape[0] == 0:
         raise ConfigError("raw_importance needs at least one sample")
-    s = np.abs(-g.mean(axis=0) + 0.5 * (g ** 2).mean(axis=0))
+    s = taylor2_importance(g.mean(axis=0), (g ** 2).mean(axis=0))
     return float(s[0]) if squeeze else s
 
 

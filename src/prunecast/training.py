@@ -16,6 +16,7 @@ from .errors import ConfigError, Field, TrainingDivergedError, require
 from .model import Forecaster
 
 OPTIMIZERS = ("sgd", "adam")
+CLIP_NORM = 1.0  # the global gradient norm a training step is clipped to
 
 FIELDS = {
     "lr": Field(float, rule=">= 0"),  # 0 is the degenerate no-op run
@@ -39,7 +40,6 @@ class TrainConfig:
     patience: int = 1
     optimizer: str = "adam"
     seed: int = 0
-    clip_norm: float = 1.0
     update_norm_params: bool = True
 
     def __post_init__(self):
@@ -168,7 +168,7 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
                 for name, g in grads.items():
                     if name.endswith((".gain", ".offset")):
                         g[...] = 0.0
-            _clip_global_norm(grads, cfg.clip_norm)
+            _clip_global_norm(grads, CLIP_NORM)
             optimizer.step(net.named_params(), grads)
             losses.append(loss.item())
 

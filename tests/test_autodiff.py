@@ -344,7 +344,6 @@ def test_every_op_matches_finite_differences_property(rng):
         "gelu": lambda x: ad.gelu(x),
         "softmax": lambda x: ad.softmax_rows(x),
         "scale": lambda x: ad.scale(x, -1.7),
-        "sub": lambda x: ad.sub(x, ad.constant(np.full((3, d), 0.3))),
     }
     for trial in range(3):
         x = rng.uniform(-2, 2, (3, d))

@@ -1,6 +1,7 @@
 """CLI pipeline tests: validation, identity, determinism, transfer."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prunecast
-from prunecast.cli import THREAD_ENV_VARS, config_hash, load_config, main, validate_config
+from prunecast.cli import config_hash, load_config, main, validate_config
 from prunecast.data import SplitSpec, synth_dataset
 from prunecast.errors import ConfigError, Field, section_problems
 from prunecast.model import ForecasterConfig
@@ -45,6 +46,12 @@ def write_config(tmp_path, cfg, name="run.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+SRC = str(Path(prunecast.__file__).parents[1])
+# the BLAS thread-count variables PRUNECAST_THREADS sets
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def run(*argv):
@@ -308,17 +315,48 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     def test_thread_cap_is_exported_before_numpy_loads(self, tmp_path):
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+        """A meta-path finder that imports nothing records the thread variables
+        at the first import of numpy, wherever in the run that happens."""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         env["PRUNECAST_THREADS"] = "1"
-        env["PYTHONPATH"] = str(Path(prunecast.__file__).parents[1])
-        script = ("import os, sys\n"
-                  "import prunecast.cli as cli\n"
-                  "loaded = 'numpy' in sys.modules\n"
-                  f"rc = cli.main(['pretrain', '--config', {str(tmp_path / 'absent.json')!r}])\n"
-                  "print(loaded, rc, *(os.environ.get(v) for v in cli.THREAD_ENV_VARS))\n")
+        env["PYTHONPATH"] = SRC
+        script = f"""
+import os, sys
+
+class FirstNumpyImport:
+    seen = None
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "numpy" and cls.seen is None:
+            cls.seen = [os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]
+        return None
+
+sys.meta_path.insert(0, FirstNumpyImport)
+import prunecast.cli as cli
+rc = cli.main(["pretrain", "--config", {str(tmp_path / "absent.json")!r}])
+import numpy
+print(rc, *FirstNumpyImport.seen)
+"""
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.stdout.split() == ["False", "1"] + ["1"] * len(THREAD_ENV_VARS), proc.stderr
+        assert proc.stdout.split() == ["1"] + ["1"] * len(BLAS_THREAD_VARS), proc.stderr
+
+    def test_module_entry_runs_without_warnings(self, tmp_path):
+        """``python -m prunecast.cli``, the no-install form; ``-W error`` turns
+        runpy's warning about a package that imports its own ``cli`` into a
+        failure."""
+        def entry(*argv):
+            return subprocess.run([sys.executable, "-W", "error", "-m", "prunecast.cli", *argv],
+                                  env={**os.environ, "PYTHONPATH": SRC},
+                                  capture_output=True, text=True, timeout=120)
+
+        proc = entry("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "pretrain" in proc.stdout
+        proc = entry("pretrain", "--config", str(tmp_path / "absent.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: config file not found"), proc.stderr
 
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -344,7 +382,46 @@ def pipeline(tmp_path_factory):
     return root, str(cfg_path), str(out / "model.ckpt")
 
 
+# stage -> the package functions its command calls itself
+STAGE_CALLS = {
+    "pretrain": ("training.finetune", "training.evaluate", "checkpoint.save_checkpoint"),
+    "analyze": ("checkpoint.load_checkpoint", "analysis.collect_head_norms"),
+    "prune": ("checkpoint.load_checkpoint", "pruning.progressive_prune",
+              "checkpoint.save_checkpoint"),
+    "finetune": ("checkpoint.load_checkpoint", "training.finetune",
+                 "checkpoint.save_checkpoint"),
+    "eval": ("checkpoint.load_checkpoint", "training.evaluate"),
+    "bench": ("checkpoint.load_checkpoint", "training.bench_inference",
+              "slicing.slice_pruned"),
+}
+
+
 class TestCommands:
+    def test_stages_call_the_package_through_module_attributes(self, tmp_path, monkeypatch):
+        """A tracer or a test that replaces a module attribute must see every
+        call a CLI stage makes to it."""
+        called = set()
+        for target in {t for calls in STAGE_CALLS.values() for t in calls}:
+            module, name = target.split(".")
+            original = getattr(importlib.import_module(f"prunecast.{module}"), name)
+
+            def spy(*args, _target=target, _original=original, **kwargs):
+                called.add(_target)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(f"prunecast.{target}", spy)
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+        checkpoints = {"analyze": tmp_path / "pretrain" / "model.ckpt",
+                       "prune": tmp_path / "pretrain" / "model.ckpt",
+                       "finetune": tmp_path / "prune" / "pruned_alpha0.5.ckpt",
+                       "eval": tmp_path / "finetune" / "finetuned.ckpt",
+                       "bench": tmp_path / "finetune" / "finetuned.ckpt"}
+        for stage, calls in STAGE_CALLS.items():
+            called.clear()
+            extra = ["--checkpoint", str(checkpoints[stage])] if stage in checkpoints else []
+            run(stage, "--config", cfg_path, "--out", str(tmp_path / stage), *extra)
+            assert called >= set(calls), (stage, set(calls) - called)
+
     def test_pretrain_artifacts(self, pipeline):
         root, _, ckpt = pipeline
         out = root / "pretrain"

@@ -9,8 +9,9 @@ from prunecast.errors import ConfigError, TrainingDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
 from prunecast.pruning import PruneSchedule, progressive_prune
 from prunecast.slicing import slice_pruned
-from prunecast.training import (Sgd, TrainConfig, _clip_global_norm, batch_loss,
-                                bench_inference, evaluate, finetune, make_optimizer)
+from prunecast.training import (CLIP_NORM, Sgd, TrainConfig, _clip_global_norm,
+                                batch_loss, bench_inference, evaluate, finetune,
+                                make_optimizer)
 
 from test_model import tiny_config
 from test_pruning import training_windows
@@ -48,7 +49,7 @@ def masked_tape_finetune(model, train, val, cfg):
                 for name in grads:
                     if name.endswith((".gain", ".offset")):
                         grads[name][...] = 0.0
-            _clip_global_norm(grads, cfg.clip_norm)
+            _clip_global_norm(grads, CLIP_NORM)
             optimizer.step(model.named_params(), grads)
             losses.append(loss.item())
         val_mse = evaluate(model, val).mse
