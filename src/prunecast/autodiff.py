@@ -7,11 +7,20 @@ An op computes gradients only for its inputs that are on the tape.
 Broadcasting is deliberately restricted to a leading batch dimension: two
 operands are compatible iff their shapes are equal or one shape is a
 trailing suffix of the other.
+
+Ops write their outputs into arrays from ``empty``. Inside a
+``reuse_scope``, which a plain inference forward opens, a large output reuses
+a buffer that an earlier op has finished with, and a product with a large
+2-D weight runs as one GEMM over all leading axes. Outside a scope
+``empty`` is ``np.empty``. Ops whose input is on no tape (norms, gelu)
+work in place whether or not a scope is open.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +29,86 @@ from .errors import ShapeError, TapeError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# elements (256 KB): smaller arrays are never pooled, and a smaller weight
+# keeps numpy's batched product
+POOL_MIN = 1 << 15
+
+_pool: list[np.ndarray] | None = None  # the buffers of the open reuse scope
+
+
+def _free_refs() -> int:
+    """The reference count ``empty`` reads for a buffer that only its pool
+    holds (the list's, the loop variable's and getrefcount's argument's),
+    measured the way ``empty`` reads it."""
+    for buf in [np.empty(1)]:
+        return sys.getrefcount(buf)
+
+
+_FREE_REFS = _free_refs()
+
+
+@contextmanager
+def reuse_scope():
+    """Pool the large arrays ``empty`` hands out until the scope closes.
+
+    Inside the scope a request of at least ``POOL_MIN`` elements gets the
+    smallest pooled 1-D buffer that is large enough and that nothing but
+    the pool references, as a view of the requested shape; when none is
+    free a new buffer joins the pool. A Tensor, view or closure that still
+    holds an array raises its buffer's reference count, so nothing alive
+    is overwritten. The pool (yielded) is dropped when the scope closes,
+    by return or by exception; arrays still in use keep their buffers.
+    The scope is module state: ops must not run on another thread while
+    one is open.
+    """
+    global _pool
+    outer, _pool = _pool, []
+    try:
+        yield _pool
+    finally:
+        _pool = outer
+
+
+def empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array; inside a ``reuse_scope`` one of at
+    least ``POOL_MIN`` elements is a view of a free pooled buffer."""
+    pool = _pool
+    if pool is None:
+        return np.empty(shape)
+    n = math.prod(shape)
+    if n < POOL_MIN:
+        return np.empty(shape)
+    best = None
+    for buf in pool:
+        if (buf.size >= n and (best is None or buf.size < best.size)
+                and sys.getrefcount(buf) == _FREE_REFS):
+            best = buf
+    if best is None:
+        best = np.empty(n)
+        pool.append(best)
+    return best[:n].reshape(shape)
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` into an array from ``empty``.
+
+    Inside a reuse scope a 2-D ``b`` of at least ``POOL_MIN`` elements
+    meets all of ``a``'s leading axes in one (rows, k) @ (k, n) GEMM;
+    elsewhere the product is numpy's own, batched over the leading axes.
+    Smaller weights stay batched: with d=32 weights and 128 windows the one
+    GEMM took up to 2.4x as long.
+    """
+    shape = a.shape[:-1] + b.shape[-1:]
+    if _pool is not None and b.ndim == 2 and b.size >= POOL_MIN and a.ndim > 2:
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        return np.matmul(rows, b, out=empty((rows.shape[0], b.shape[1]))).reshape(shape)
+    return np.matmul(a, b, out=empty(shape))
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, the same bits, without numpy's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
 class Tensor:
@@ -184,7 +273,8 @@ def add(a, b) -> Tensor:
         return (_reduce_to(g, a_shape) if ga else None,
                 _reduce_to(g, b_shape) if gb else None)
 
-    return _record([a, b], a.data + b.data, bw)
+    return _record([a, b], np.add(a.data, b.data, out=empty(max(a_shape, b_shape, key=len))),
+                   bw)
 
 
 def mul(a, b) -> Tensor:
@@ -197,13 +287,14 @@ def mul(a, b) -> Tensor:
         return (_reduce_to(g * bd, ad.shape) if ga else None,
                 _reduce_to(g * ad, bd.shape) if gb else None)
 
-    return _record([a, b], ad * bd, bw)
+    return _record([a, b], np.multiply(ad, bd, out=empty(max(ad.shape, bd.shape, key=len))),
+                   bw)
 
 
 def scale(a, c: float) -> Tensor:
     a = constant(a)
     c = float(c)
-    return _record([a], a.data * c, lambda g: (g * c,))
+    return _record([a], np.multiply(a.data, c, out=empty(a.shape)), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
@@ -230,13 +321,15 @@ def matmul(a, b) -> Tensor:
             return (g @ bd.swapaxes(-1, -2) if ga else None,
                     ad.swapaxes(-1, -2) @ g if gb else None)
 
-    return _record([a, b], ad @ bd, bw)
+    return _record([a, b], product(ad, bd), bw)
 
 
 def transpose_last2(a) -> Tensor:
     a = constant(a)
-    return _record([a], a.data.swapaxes(-1, -2).copy(),
-                   lambda g: (g.swapaxes(-1, -2),))
+    swapped = a.data.swapaxes(-1, -2)
+    out = empty(swapped.shape)
+    np.copyto(out, swapped)
+    return _record([a], out, lambda g: (g.swapaxes(-1, -2),))
 
 
 def swap_axes(a, axis1: int, axis2: int) -> Tensor:
@@ -258,25 +351,44 @@ def relu(a) -> Tensor:
     return _record([a], np.where(pos, a.data, 0.0), lambda g: (g * pos,))
 
 
-def gelu(a) -> Tensor:
-    """GELU, tanh form: x * 0.5 * (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-
-    The cubic is x² · x, not ``x ** 3``: numpy's general ``pow`` costs more
-    than the rest of the op. Temporaries are reused in place.
-    """
-    a = constant(a)
-    shape = a.shape
-    # 0-d products come back as numpy scalars, which cannot take out=
-    x = a.data.reshape(shape or (1,))
-    t = x * x
+def _gelu_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """out = gelu(x); t is left holding tanh(sqrt(2/pi)(x + 0.044715 x³))."""
+    np.multiply(x, x, out=t)
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
+    np.add(t, 1.0, out=out)
     out *= x
     out *= 0.5
+
+
+def gelu(a) -> Tensor:
+    """GELU, tanh form: x * 0.5 * (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+
+    The cubic is x² · x, not ``x ** 3``: numpy's general ``pow`` costs more
+    than the rest of the op. Temporaries are reused in place. Off the tape
+    nothing reads t back, so the op runs in ``POOL_MIN``-element blocks
+    through one block-sized scratch.
+    """
+    a = constant(a)
+    shape = a.shape
+    # 0-d products come back as numpy scalars, which cannot take out=
+    x = a.data.reshape(shape or (1,))
+    if not a.requires_grad:
+        out = empty(x.shape)
+        xs, outs = x.reshape(-1), out.reshape(-1)
+        t = empty((min(xs.size, POOL_MIN),))
+        for lo in range(0, xs.size, POOL_MIN):
+            hi = min(lo + POOL_MIN, xs.size)
+            _gelu_into(xs[lo:hi], t[:hi - lo], outs[lo:hi])
+        return Tensor(out.reshape(shape))
+    # t first, then out: with out first, glibc's heap trim made a d=256
+    # prune step fault about twice as many pages
+    t = np.empty(x.shape)
+    out = np.empty(x.shape)
+    _gelu_into(x, t, out)
 
     def bw(g):
         # 0.5(1 + t) + 0.5 x (1 - t²) C (1 + 3A x²)
@@ -304,7 +416,7 @@ def softmax_rows(a) -> Tensor:
     work in it in place.
     """
     a = constant(a)
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    y = np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=empty(a.shape))
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -320,25 +432,30 @@ def softmax_rows(a) -> Tensor:
 
 
 def layer_norm(a, gain, offset, eps: float) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    With no input on a tape nothing reads the normalized values back, so
+    the affine runs in place.
+    """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     a, gain, offset = constant(a), constant(gain), constant(offset)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
+    y = np.subtract(x, _mean_last(x), out=empty(x.shape))
+    inv = 1.0 / np.sqrt(_mean_last(np.square(y, out=empty(x.shape))) + eps)
+    y *= inv
     gd, offset_shape = gain.data, offset.shape
     ga, gg, go = a.requires_grad, gain.requires_grad, offset.requires_grad
+    if not (ga or gg or go):
+        y *= gd
+        y += offset.data
+        return Tensor(y)
 
     def bw(g):
         dx = None
         if ga:
             gy = g * gd
-            dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                        - y * (gy * y).mean(axis=-1, keepdims=True))
+            dx = inv * (gy - _mean_last(gy) - y * _mean_last(gy * y))
         dgain = _reduce_to(g * y, gd.shape) if gg else None
         doffset = _reduce_to(g, offset_shape) if go else None
         return dx, dgain, doffset
@@ -347,21 +464,25 @@ def layer_norm(a, gain, offset, eps: float) -> Tensor:
 
 
 def rms_norm(a, gain, eps: float) -> Tensor:
-    """Scale the last axis by its root-mean-square, then gain."""
+    """Scale the last axis by its root-mean-square, then gain (in place
+    when no input is on a tape, as in ``layer_norm``)."""
     if eps <= 0:
         raise ValueError("rms_norm eps must be positive")
     a, gain = constant(a), constant(gain)
     x = a.data
-    r = np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + eps)
-    y = x / r
+    r = np.sqrt(_mean_last(np.square(x, out=empty(x.shape))) + eps)
+    y = np.divide(x, r, out=empty(x.shape))
     gd = gain.data
     ga, gg = a.requires_grad, gain.requires_grad
+    if not (ga or gg):
+        y *= gd
+        return Tensor(y)
 
     def bw(g):
         dx = None
         if ga:
             gy = g * gd
-            dx = gy / r - x * (gy * x).mean(axis=-1, keepdims=True) / (r * r * r)
+            dx = gy / r - x * _mean_last(gy * x) / (r * r * r)
         return dx, _reduce_to(g * y, gd.shape) if gg else None
 
     return _record([a, gain], y * gd, bw)
@@ -438,7 +559,8 @@ def scatter_last(a, idx: np.ndarray, width: int) -> Tensor:
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
     _check_unique(idx, "scatter_last")
-    out = np.zeros(a.shape[:-1] + (width,))
+    out = empty(a.shape[:-1] + (width,))
+    out.fill(0.0)
     out[..., idx] = a.data
     return _record([a], out, lambda g: (g[..., idx],))
 

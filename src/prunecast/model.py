@@ -10,6 +10,7 @@ intermediates of the sparsity diagnostics.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 from dataclasses import dataclass
@@ -143,17 +144,20 @@ class MaskedLinear:
         return self.w.shape[1]
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+        """(x ⊙ m_in) W + b, times m_out. With no tape the product runs in
+        numpy (``ad.product``) and the bias and output mask are applied to
+        it in place; all-ones masks are skipped."""
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"{self.layer_id}: input width {x.shape[-1]} != d_in {self.d_in}")
         if ctx.tape is None:
             out = x.data
             if not (self.m_in == 1.0).all():
-                out = out * self.m_in
-            out = out @ self.w
+                out = np.multiply(out, self.m_in, out=ad.empty(out.shape))
+            out = ad.product(out, self.w)
             if self.b is not None:
-                out = out + self.b
+                out += self.b
             if not (self.m_out == 1.0).all():
-                out = out * self.m_out
+                out *= self.m_out
             return ad.constant(out)
 
         m_in_t, m_out_t = ctx.masks(self, x.shape[:-1])
@@ -308,30 +312,39 @@ class ForecasterBase:
 
     def _forward(self, windows: np.ndarray, ctx: ForwardContext,
                  cap: AnalysisCapture | None) -> ForwardPass:
-        """Forward a (B, L) batch of context windows; see ``forward_batch``."""
-        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-        cfg = self.cfg
-        if windows.shape[-1] != cfg.context_len:
-            raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
-        norm_w, mu, sigma = self.normalize_windows(windows)
-        x = ad.constant(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
-        x = self.embed.forward(x, ctx)
+        """Forward a (B, L) batch of context windows; see ``forward_batch``.
 
-        causal = None
-        if cfg.attention == "causal":
-            t = cfg.tokens
-            causal = np.triu(np.full((t, t), NEG_INF), k=1)
+        A plain inference forward, with no tape and no analysis capture,
+        runs in an ``ad.reuse_scope``: each large op output reuses a buffer
+        that an earlier layer of the same forward has finished with. The
+        scope closes when the forward returns or raises.
+        """
+        plain = ctx.tape is None and cap is None
+        with ad.reuse_scope() if plain else contextlib.nullcontext():
+            windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+            cfg = self.cfg
+            if windows.shape[-1] != cfg.context_len:
+                raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
+            norm_w, mu, sigma = self.normalize_windows(windows)
+            x = ad.constant(norm_w.reshape(windows.shape[0], cfg.tokens, cfg.patch_len))
+            x = self.embed.forward(x, ctx)
 
-        for block in self.blocks:
-            if cap is not None:
-                cap.residuals.append(x.data.copy())
-            x = ad.add(x, self.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal, cap))
-            if cap is not None:
-                cap.post_attn.append(x.data.copy())
-            x = ad.add(x, self.ffn_forward(block, block.norm2.forward(x, ctx), ctx, cap))
+            causal = None
+            if cfg.attention == "causal":
+                t = cfg.tokens
+                causal = np.triu(np.full((t, t), NEG_INF), k=1)
 
-        pred = self.head.forward(ad.take_token(x, cfg.tokens - 1), ctx)
-        return ForwardPass(pred, mu, sigma, ctx, cap)
+            for block in self.blocks:
+                if cap is not None:
+                    cap.residuals.append(x.data.copy())
+                x = ad.add(x, self.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal,
+                                               cap))
+                if cap is not None:
+                    cap.post_attn.append(x.data.copy())
+                x = ad.add(x, self.ffn_forward(block, block.norm2.forward(x, ctx), ctx, cap))
+
+            pred = self.head.forward(ad.take_token(x, cfg.tokens - 1), ctx)
+            return ForwardPass(pred, mu, sigma, ctx, cap)
 
     def mha_forward(self, block, x: Tensor, ctx: ForwardContext | None = None,
                     causal: np.ndarray | None = None,

@@ -3,15 +3,22 @@
 Removes half the attention heads (all four per-head projection groups) and
 half the FFN channels (up-output + down-input jointly), slices, and times
 the dense original against the sliced model. Prints one JSON line.
+BLAS is pinned to one thread unless the caller set the variables, so a
+run by hand measures what the pinned subprocess of test_08 measures.
 """
 
 import json
+import os
 
-import numpy as np
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from prunecast.model import Forecaster, ForecasterConfig
-from prunecast.slicing import slice_pruned
-from prunecast.training import bench_inference
+import numpy as np  # noqa: E402  (after the pin)
+
+from prunecast.model import Forecaster, ForecasterConfig  # noqa: E402
+from prunecast.slicing import slice_pruned  # noqa: E402
+from prunecast.training import bench_inference  # noqa: E402
 
 
 def main():

@@ -1,5 +1,6 @@
 """Forecaster tests: mask identity, attention oracle, causality, regression."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from prunecast import autodiff as ad
 from prunecast.errors import ShapeError
-from prunecast.model import (NEG_INF, NORM_KINDS, Forecaster, ForecasterConfig,
-                             ForwardContext, MaskedLinear)
+from prunecast.model import (ACTIVATIONS, ATTENTION_STYLES, NEG_INF, NORM_KINDS, Forecaster,
+                             ForecasterConfig, ForwardContext, MaskedLinear)
+from prunecast.slicing import slice_pruned
 
 from oracles import assert_grads_close
 
@@ -322,3 +324,160 @@ GOLDEN_FORWARD = np.array([
     1.0337639833901517, 0.6257692158834811, 0.28557323559292186,
     2.1811810729964076, 1.6769132467523218, 0.9812383538263412,
 ])
+
+
+# ---------------------------------------------------------------- inference buffers
+
+KINDS = ("masked", "sliced")
+POOLED_BATCH = 64
+
+
+def pooled_config(**overrides):
+    """At ``POOLED_BATCH`` windows every residual, FFN and prediction array
+    is at least ``ad.POOL_MIN`` elements, and the FFN weights are too, also
+    after slicing away 30% of their inputs and outputs: their products run
+    as one GEMM."""
+    base = dict(layers=1, heads=2, d_model=64, d_ffn=2048, patch_len=4, context_len=32,
+                horizon=512)
+    base.update(overrides)
+    return tiny_config(**base)
+
+
+def demo_config(**overrides):
+    """The model section of demos/06_cli_pipeline.sh."""
+    base = dict(layers=2, heads=4, d_model=32, d_ffn=64, patch_len=8, context_len=96,
+                horizon=24)
+    base.update(overrides)
+    return tiny_config(**base)
+
+
+def mask_randomly(model, rng, p=0.3):
+    for layer in model.linears():
+        layer.m_in[rng.random(layer.d_in) < p] = 0.0
+        layer.m_out[rng.random(layer.d_out) < p] = 0.0
+
+
+def mask_alike(model):
+    """Head 0 and the even FFN channels of every block: all blocks keep the same widths."""
+    g, half = model.head_group(0), np.arange(0, model.cfg.d_ffn, 2)
+    for block in model.blocks:
+        for layer in (block.wq, block.wk, block.wv):
+            layer.m_out[g] = 0.0
+        block.wo.m_in[g] = 0.0
+        block.ffn_up.m_out[half] = 0.0
+        block.ffn_down.m_in[half] = 0.0
+
+
+def build(cfg, kind, mask):
+    model = Forecaster(cfg, seed=5)
+    mask(model)
+    return model if kind == "masked" else slice_pruned(model)
+
+
+@pytest.fixture
+def scopes(monkeypatch):
+    """The pool of every reuse scope opened while the test runs."""
+    opened = []
+    inner = ad.reuse_scope
+
+    @contextlib.contextmanager
+    def recording():
+        with inner() as pool:
+            opened.append(pool)
+            yield pool
+
+    monkeypatch.setattr(ad, "reuse_scope", recording)
+    return opened
+
+
+def no_scope_open() -> bool:
+    return ad.empty((ad.POOL_MIN,)).base is None
+
+
+class TestInferenceBuffers:
+    """A forward with no tape and no analysis capture reuses its own buffers."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pool_never_hands_out_what_a_caller_holds(self, rng, kind):
+        cfg = pooled_config(layers=2)
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        x = rng.normal(0, 1, (POOLED_BATCH, cfg.context_len))
+        first = model.forward_batch(x)
+        pred = first.pred_norm.data
+        assert pred.size >= ad.POOL_MIN and pred.base is not None  # a pooled buffer
+        held = pred[::3, 1::2]
+        bits = pred.copy(), held.copy(), first.mu.copy(), first.sigma.copy()
+        for _ in range(3):
+            model.forward_batch(rng.normal(0, 1, x.shape))
+        for now, then in zip((first.pred_norm.data, held, first.mu, first.sigma), bits):
+            np.testing.assert_array_equal(now, then)
+        taped = model.forward_batch(x, tape=ad.Tape()).pred_norm.data
+        assert np.abs(pred - taped).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scope_closes_on_return_and_on_raise(self, rng, kind, scopes, monkeypatch):
+        cfg = pooled_config()
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        x = rng.normal(0, 1, (POOLED_BATCH, cfg.context_len))
+        model.forward_batch(x)
+        assert len(scopes) == 1 and scopes[0] and no_scope_open()
+
+        with pytest.raises(ShapeError, match="window length"):
+            model.forward_batch(x[:, 1:])
+        assert len(scopes) == 2 and no_scope_open()
+
+        def fail(*args):
+            raise ShapeError("raised after every block ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "take_token", fail)
+            with pytest.raises(ShapeError, match="after every block"):
+                model.forward_batch(x)
+        assert len(scopes) == 3 and scopes[2] and no_scope_open()
+
+        # the next tape step opens no scope and allocates as it always did
+        fp = model.forward_batch(x, tape=ad.Tape())
+        assert len(scopes) == 3 and fp.pred_norm.data.base is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_later_layers_reuse_the_buffers_of_earlier_ones(self, rng, kind, scopes):
+        for layers in (1, 6):
+            cfg = pooled_config(layers=layers, heads=4)
+            build(cfg, kind, mask_alike).forward_batch(
+                rng.normal(0, 1, (POOLED_BATCH, cfg.context_len)))
+        one, six = (len(pool) for pool in scopes)
+        assert one == six > 0
+
+    def test_tape_and_analysis_forwards_open_no_scope(self, rng, scopes):
+        cfg = pooled_config()
+        model = Forecaster(cfg, seed=5)
+        x = rng.normal(0, 1, (POOLED_BATCH, cfg.context_len))
+        model.forward_batch(x, tape=ad.Tape())
+        model.forward_batch(x, tape=ad.Tape(), capture_grads=True)
+        model.forward_batch(x, analysis=True)
+        assert scopes == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("attention", ATTENTION_STYLES)
+    def test_inference_forward_equals_tape_forward(self, rng, kind, norm, activation,
+                                                   attention):
+        cfg = pooled_config(layers=2, norm=norm, activation=activation, attention=attention)
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        assert max(layer.w.size for layer in model.linears()) >= ad.POOL_MIN
+        x = rng.normal(0, 1, (POOLED_BATCH, cfg.context_len))
+        plain = model.forward_batch(x).pred_norm.data
+        taped = model.forward_batch(x, tape=ad.Tape()).pred_norm.data
+        assert np.abs(plain - taped).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_inference_forward_is_bitwise_at_the_demo_shape(self, rng, kind, norm, activation):
+        """256 windows, as ``evaluate`` forwards them: the activations are pooled."""
+        cfg = demo_config(norm=norm, activation=activation)
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        x = rng.normal(0, 1, (256, cfg.context_len))
+        np.testing.assert_array_equal(model.forward_batch(x).pred_norm.data,
+                                      model.forward_batch(x, tape=ad.Tape()).pred_norm.data)
