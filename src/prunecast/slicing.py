@@ -1,14 +1,14 @@
 """Exact physical slicing of pruned channels.
 
-A sliced model stores exactly the mask-surviving weight entries and skips
-the pruned compute. Each compact layer carries its own index maps: the
-input columns it reads, the rows of its weight they meet, the outputs it
-keeps and where it writes them. The residual-facing sides read and write
-the full model width. Where two sides meet in a product (Q·Kᵀ,
-context·W_O, activation·W_down) only the index intersection is computed;
-entries dead on either side contribute exactly zero. Q, K and V write the
-live heads side by side, each zero-padded to the block's widest one, and
-a head whose V-output ∩ W_O-input intersection is empty gets no slot.
+A sliced model skips the pruned compute. Each compact weight is built
+once, at slice time, in the layout its product runs. The residual-facing
+sides read and write the full model width. Where two sides meet in a
+product (Q·Kᵀ, context·W_O, activation·W_down) only the index
+intersection is stored; entries dead on either side contribute exactly
+zero. Q, K and V hold the live heads side by side, each zero-padded to
+the block's widest one; a pad meets a zero across its product, so its
+gradient is exactly zero. A head whose V-output ∩ W_O-input intersection
+is empty gets no columns.
 
 The sliced twin therefore runs ``ForecasterBase``'s forward, the same
 attention and FFN code as the masked model. It is the only model that
@@ -45,119 +45,111 @@ def _positions(universe: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 class SlicedLinear:
-    """Compact storage of one masked layer, and the index maps it computes through.
+    """One masked layer's weight, stored in the layout its product runs.
 
-    ``forward`` reads the input columns ``cols``, meets them with the rows
-    ``rows`` of the compact weight, keeps the compact outputs ``keep`` (bias
-    included) and writes them to ``slots`` of a zero output of width
-    ``width``. Each map is a strictly increasing index array, skipped when
-    it takes everything. By default the layer reads and writes full width:
-    ``cols`` and ``slots`` are its surviving channels, and every row and
-    output is kept. ``SlicedBlock`` rewires the layers that meet inside it.
+    Stored row i of ``w`` is master row ``rows[i]`` and stored column j is
+    master column ``cols[j]``; -1 marks a zero pad. By default these are
+    the surviving channels: the layer gathers its input from full width
+    and scatters its output back to ``width``, the full output width.
+    ``SlicedBlock`` passes the layouts of the layers that meet inside it,
+    which read and write them as they are.
     """
 
-    def __init__(self, layer: MaskedLinear):
+    def __init__(self, layer: MaskedLinear, rows: np.ndarray | None = None,
+                 cols: np.ndarray | None = None):
         require_binary(layer)
         self.layer_id = layer.layer_id
         self.in_idx = _alive(layer.m_in)
         self.out_idx = _alive(layer.m_out)
-        self.w = layer.w[np.ix_(self.in_idx, self.out_idx)].copy()
-        self.b = None if layer.b is None else layer.b[self.out_idx].copy()
-        self.cols, self.rows = self.in_idx, np.arange(self.in_idx.size)
-        self.keep, self.slots, self.width = (np.arange(self.out_idx.size), self.out_idx,
-                                             layer.d_out)
+        self.rows = self.in_idx if rows is None else rows
+        self.cols = self.out_idx if cols is None else cols
+        self.width = layer.d_out if cols is None else self.cols.size
+        # a -1 reads the last master row or column, zeroed just below
+        self.w = layer.w[np.ix_(self.rows, self.cols)]
+        self.w[self.rows < 0] = 0.0
+        self.w[:, self.cols < 0] = 0.0
+        self.b = None if layer.b is None else np.where(self.cols < 0, 0.0, layer.b[self.cols])
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        if self.cols.size != x.shape[-1]:
-            x = ad.gather_last(x, self.cols)
-        w = ctx.lift(f"{self.layer_id}.w", self.w)
-        if self.rows.size != self.w.shape[0]:
-            w = ad.transpose_last2(ad.gather_last(ad.transpose_last2(w), self.rows))
-        if self.keep.size != self.w.shape[1]:
-            w = ad.gather_last(w, self.keep)
-        y = ad.matmul(x, w)
+        if x.shape[-1] != self.rows.size:
+            x = ad.gather_last(x, self.rows)
+        y = ad.matmul(x, ctx.lift(f"{self.layer_id}.w", self.w))
         if self.b is not None:
-            b = ctx.lift(f"{self.layer_id}.b", self.b)
-            y = ad.add(y, b if self.keep.size == self.b.size else ad.gather_last(b, self.keep))
-        return y if self.slots.size == self.width else ad.scatter_last(y, self.slots, self.width)
+            y = ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
+        return y if self.cols.size == self.width else ad.scatter_last(y, self.cols, self.width)
 
-    def stored_weights(self) -> int:
-        return self.w.size + (0 if self.b is None else self.b.size)
+    def surviving_weights(self) -> int:
+        """The masked layer's count: pads and unstored channels do not change it."""
+        n = self.in_idx.size * self.out_idx.size
+        return n + (0 if self.b is None else self.out_idx.size)
 
     def write_back(self, layer: MaskedLinear) -> None:
-        layer.w[np.ix_(self.in_idx, self.out_idx)] = self.w
+        """Copy every stored entry but the pads to its master coordinates."""
+        r, c = self.rows >= 0, self.cols >= 0
+        layer.w[np.ix_(self.rows[r], self.cols[c])] = self.w[np.ix_(r, c)]
         if self.b is not None:
-            layer.b[self.out_idx] = self.b
+            layer.b[self.cols[c]] = self.b[c]
 
 
 class _HeadPlan:
-    """Intersection index maps for one attention head."""
+    """The master channels one attention head computes through: ``qk``
+    where Q-out meets K-out, ``vo`` where V-out meets O-in."""
 
-    def __init__(self, group: slice, q: SlicedLinear, k: SlicedLinear,
-                 v: SlicedLinear, o: SlicedLinear):
+    def __init__(self, group: slice, q_out: np.ndarray, k_out: np.ndarray,
+                 v_out: np.ndarray, o_in: np.ndarray):
         lo, hi = group.start, group.stop
 
         def in_group(idx):
             return idx[(idx >= lo) & (idx < hi)]
 
-        qk = np.intersect1d(in_group(q.out_idx), in_group(k.out_idx))
-        vo = np.intersect1d(in_group(v.out_idx), in_group(o.in_idx))
-        self.q_pos = _positions(q.out_idx, qk)
-        self.k_pos = _positions(k.out_idx, qk)
-        self.v_pos = _positions(v.out_idx, vo)
-        self.o_pos = _positions(o.in_idx, vo)
-        self.alive = vo.size > 0
-        self.scored = qk.size > 0
+        self.qk = np.intersect1d(in_group(q_out), in_group(k_out))
+        self.vo = np.intersect1d(in_group(v_out), in_group(o_in))
+        self.q_pos = _positions(q_out, self.qk)
+        self.k_pos = _positions(k_out, self.qk)
+        self.v_pos = _positions(v_out, self.vo)
+        self.o_pos = _positions(o_in, self.vo)
+        self.alive = self.vo.size > 0
+        self.scored = self.qk.size > 0
 
 
 class SlicedBlock:
-    """One block's compact layers, rewired for the shared forward.
+    """One block's compact layers, laid out for the shared forward.
 
-    Q, K and V write the j-th live head to slots j·w onwards, w the widest
-    live (qk, vo) width, and O reads V's slots. FFN up and down meet at the
-    channels alive on both sides of the activation. With no live head the
-    block runs one head of width 0, whose attention output is O's bias.
+    Q and K store the j-th live head's Q·K channels from column j·w on, w
+    the widest live head's, and V stores its V·O channels the same way,
+    as does O in its rows. FFN up stores the columns and FFN down the rows
+    alive on both sides of the activation. With no live head the block
+    runs one head of width 0, whose attention output is O's bias.
     """
 
     def __init__(self, block: Block, cfg: ForecasterConfig):
-        self.q = SlicedLinear(block.wq)
-        self.k = SlicedLinear(block.wk)
-        self.v = SlicedLinear(block.wv)
-        self.o = SlicedLinear(block.wo)
-        self.up = SlicedLinear(block.ffn_up)
-        self.down = SlicedLinear(block.ffn_down)
-        self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
-        self.norm1 = copy.deepcopy(block.norm1)
-        self.norm2 = copy.deepcopy(block.norm2)
         d_h = cfg.head_dim
-        self.heads = [_HeadPlan(slice(i * d_h, (i + 1) * d_h),
-                                self.q, self.k, self.v, self.o)
+        q_out, k_out, v_out, o_in = (_alive(m) for m in (block.wq.m_out, block.wk.m_out,
+                                                         block.wv.m_out, block.wo.m_in))
+        self.heads = [_HeadPlan(slice(i * d_h, (i + 1) * d_h), q_out, k_out, v_out, o_in)
                       for i in range(cfg.heads)]
         live = [h for h in self.heads if h.alive]
         self.head_count = max(len(live), 1)
-        for layer, pos in ((self.q, "q_pos"), (self.k, "k_pos"), (self.v, "v_pos")):
-            _pad_heads(layer, [getattr(h, pos) for h in live])
-        self.o.cols = self.v.slots
-        self.o.rows = _joined([h.o_pos for h in live])
-        mid = np.intersect1d(self.up.out_idx, self.down.in_idx)
+        qk, vo = _padded([h.qk for h in live]), _padded([h.vo for h in live])
+        mid = np.intersect1d(_alive(block.ffn_up.m_out), _alive(block.ffn_down.m_in))
+        self.q = SlicedLinear(block.wq, cols=qk)
+        self.k = SlicedLinear(block.wk, cols=qk)
+        self.v = SlicedLinear(block.wv, cols=vo)
+        self.o = SlicedLinear(block.wo, rows=vo)
+        self.up = SlicedLinear(block.ffn_up, cols=mid)
+        self.down = SlicedLinear(block.ffn_down, rows=mid)
+        self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
+        self.norm1 = copy.deepcopy(block.norm1)
+        self.norm2 = copy.deepcopy(block.norm2)
         self.mid_up_pos = _positions(self.up.out_idx, mid)
         self.mid_down_pos = _positions(self.down.in_idx, mid)
-        self.up.keep, self.down.rows = self.mid_up_pos, self.mid_down_pos
-        self.up.slots = self.down.cols = np.arange(mid.size)
-        self.up.width = mid.size
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.empty(0, np.intp), *parts])
-
-
-def _pad_heads(layer: SlicedLinear, parts: list[np.ndarray]) -> None:
-    """Keep the compact outputs ``parts[j]`` of each live head j and write
-    them to slots j·w onwards, w the widest part."""
+def _padded(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts side by side, each padded with -1 to the widest."""
     w = max((p.size for p in parts), default=0)
-    layer.keep = _joined(parts)
-    layer.slots = _joined([j * w + np.arange(p.size) for j, p in enumerate(parts)])
-    layer.width = len(parts) * w
+    return np.concatenate([np.empty(0, np.intp),
+                           *(np.pad(p, (0, w - p.size), constant_values=-1) for p in parts)])
 
 
 class SlicedForecaster(ForecasterBase):
@@ -174,7 +166,7 @@ class SlicedForecaster(ForecasterBase):
         self.head = SlicedLinear(model.head)
 
     def param_count(self) -> int:
-        n = sum(l.stored_weights() for l in self.linears())
+        n = sum(l.surviving_weights() for l in self.linears())
         return n + sum(norm.param_count() for norm in self.norms())
 
     def param_fraction(self) -> float:

@@ -139,6 +139,8 @@ class TestSlicing:
             slice_pruned(model)
 
     def test_write_back_updates_only_surviving_coords(self, rng):
+        """Write-back moves the stored coordinates and nothing else: not the
+        dead ones, not the alive ones outside an intersection, and no pad."""
         model = Forecaster(tiny_config(layers=1), seed=4)
         prune_random_channels(model, 0.3, rng)
         frozen = {name: arr.copy() for name, arr in model.named_params()}
@@ -146,14 +148,69 @@ class TestSlicing:
         for _, arr in sliced.named_params():
             arr += 0.25
         sliced.write_back(model)
-        for layer in model.linears():
-            dead = np.outer(layer.m_in == 0, np.ones(layer.d_out, dtype=bool)) \
-                 | np.outer(np.ones(layer.d_in, dtype=bool), layer.m_out == 0)
-            np.testing.assert_array_equal(layer.w[dead], frozen[f"{layer.layer_id}.w"][dead])
-            alive = ~dead
-            if alive.any():
-                assert np.allclose(layer.w[alive],
-                                   frozen[f"{layer.layer_id}.w"][alive] + 0.25)
+        unstored = 0
+        for layer, twin in zip(model.linears(), sliced.linears()):
+            for key, got, stored, alive in stored_layout(layer, twin):
+                want = frozen[f"{layer.layer_id}.{key}"]
+                np.testing.assert_array_equal(got[stored], want[stored] + 0.25)
+                np.testing.assert_array_equal(got[~stored], want[~stored])
+                unstored += int((alive & ~stored).sum())
+        assert unstored and has_pads(sliced)
+
+    def test_each_weight_and_bias_leaf_feeds_one_node(self, rng):
+        """On the tape, each weight and bias of a pruned twin is an input of
+        exactly one node, its layer's product or bias add, which also takes
+        the activation: no weight is re-gathered or transposed per forward."""
+        model = Forecaster(tiny_config(heads=4, d_model=16, d_ffn=24), seed=3)
+        prune_random_channels(model, 0.3, rng)
+        sliced = slice_pruned(model)
+        assert has_pads(sliced)
+        tape = ad.Tape()
+        fp = sliced.forward_batch(rng.normal(0, 1, (4, model.cfg.context_len)), tape=tape)
+        consumers = {leaf.node_id: [] for name, leaf in fp.ctx.param_leaves.items()
+                     if name.endswith((".w", ".b"))}
+        assert len(consumers) == sum(1 + (l.b is not None) for l in sliced.linears())
+        for node in tape.nodes:
+            for i in node.inputs:
+                if i in consumers:
+                    consumers[i].append(node)
+        for nodes in consumers.values():
+            assert len(nodes) == 1 and len(nodes[0].inputs) == 2
+
+
+def stored_layout(layer, twin):
+    """Per parameter of a masked layer: its key, its master array, the
+    master coordinates its sliced twin stores, and those the masks keep
+    alive."""
+    r, c = twin.rows >= 0, twin.cols >= 0
+    stored = np.zeros(layer.w.shape, bool)
+    stored[np.ix_(twin.rows[r], twin.cols[c])] = True
+    out = [("w", layer.w, stored, np.outer(layer.m_in == 1, layer.m_out == 1))]
+    if layer.b is not None:
+        stored_b = np.zeros(layer.b.shape, bool)
+        stored_b[twin.cols[c]] = True
+        out.append(("b", layer.b, stored_b, layer.m_out == 1))
+    return out
+
+
+def stored_pairs(twin, key, master, compact):
+    """One parameter's stored entries but the pads, as two arrays in the
+    same order: ``master``'s at their master coordinates and ``compact``'s."""
+    r, c = twin.rows >= 0, twin.cols >= 0
+    if key == "b":
+        return master[twin.cols[c]], compact[c]
+    return master[np.ix_(twin.rows[r], twin.cols[c])], compact[np.ix_(r, c)]
+
+
+def pad_entries(twin, key, array):
+    """The entries of a sliced layer's weight (or bias) that are pads."""
+    if key == "b":
+        return array[twin.cols < 0]
+    return array[(twin.rows < 0)[:, None] | (twin.cols < 0)[None, :]]
+
+
+def has_pads(sliced):
+    return any((t.rows < 0).any() or (t.cols < 0).any() for t in sliced.linears())
 
 
 # Attention patterns for block 0 of a 4-head, d_h = 4 model. Each returns a
@@ -226,7 +283,14 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("style", ATTENTION_STYLES)
     @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.__name__)
     def test_gradients_match_masked_on_surviving_coordinates(self, rng, pattern, style):
-        model, sliced = patterned(pattern, style)
+        """Stored coordinates get the masked gradients; pads hold 0.0 and get
+        exactly 0.0, and so does every alive coordinate the twin does not
+        store. Nonzero biases would show a pad built from a master entry."""
+        model, _ = patterned(pattern, style)
+        for layer in model.linears():
+            if layer.b is not None:
+                layer.b[...] = rng.normal(0, 1, layer.b.shape)
+        sliced = slice_pruned(model)
         windows = rng.normal(0, 1, (6, model.cfg.context_len))
         targets = rng.normal(0, 1, (6, model.cfg.horizon))
         masked = parameter_grads(model, windows, targets)
@@ -234,11 +298,14 @@ class TestPaddedLayout:
         assert masked.keys() == compact.keys()
         for layer, twin in zip(model.linears(), sliced.linears()):
             name = layer.layer_id
-            assert np.abs(masked[f"{name}.w"][np.ix_(twin.in_idx, twin.out_idx)]
-                          - compact[f"{name}.w"]).max(initial=0.0) <= 1e-9, name
-            if layer.b is not None:
-                assert np.abs(masked[f"{name}.b"][twin.out_idx]
-                              - compact[f"{name}.b"]).max(initial=0.0) <= 1e-9, name
+            for key, _, stored, alive in stored_layout(layer, twin):
+                full, small = masked[f"{name}.{key}"], compact[f"{name}.{key}"]
+                on_master, on_twin = stored_pairs(twin, key, full, small)
+                assert np.abs(on_master - on_twin).max(initial=0.0) <= 1e-9, (name, key)
+                for pads in (pad_entries(twin, key, getattr(twin, key)),
+                             pad_entries(twin, key, small)):
+                    assert (pads == 0.0).all(), (name, key)
+                assert (full[alive & ~stored] == 0.0).all(), (name, key)
         for norm in model.norms():
             for key in (f"{norm.name}.gain", f"{norm.name}.offset"):
                 if key in masked:

@@ -15,6 +15,7 @@ from prunecast.training import (CLIP_NORM, Sgd, TrainConfig, _clip_global_norm,
 
 from test_model import tiny_config
 from test_pruning import training_windows
+from test_slicing import has_pads, pad_entries, stored_layout
 
 
 def split_windows(ws, n_val):
@@ -160,7 +161,8 @@ class TestFinetune:
     def test_sliced_training_writes_back_consistently(self):
         model = Forecaster(tiny_config(), seed=5)
         ws = training_windows()
-        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=1, batch_size=64, seed=0)
+        # two prune epochs leave alive channels outside an intersection
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=2, batch_size=64, seed=0)
         progressive_prune(model, ws, schedule, alpha=0.5)
         before = {n: a.copy() for n, a in model.named_params()}
 
@@ -169,11 +171,21 @@ class TestFinetune:
         finetune(sliced, train, val, TrainConfig(lr=1e-3, batch_size=64,
                                                  max_epochs=1, patience=1, seed=2))
         sliced.write_back(model)
-        for layer in model.linears():
+        unstored = 0
+        for layer, twin in zip(model.linears(), sliced.linears()):
             mask = (np.outer(layer.m_in == 0, np.ones(layer.d_out, bool))
                     | np.outer(np.ones(layer.d_in, bool), layer.m_out == 0))
             np.testing.assert_array_equal(layer.w[mask],
                                           before[f"{layer.layer_id}.w"][mask])
+            # pads stay exactly zero; alive coordinates the twin does not
+            # store keep their bits
+            for key, got, stored, alive in stored_layout(layer, twin):
+                assert (pad_entries(twin, key, getattr(twin, key)) == 0.0).all()
+                left = alive & ~stored
+                np.testing.assert_array_equal(got[left],
+                                              before[f"{layer.layer_id}.{key}"][left])
+                unstored += int(left.sum())
+        assert unstored and has_pads(sliced)
         # masked and sliced twins still agree after write-back
         test = ws.subset(np.arange(50))
         r_masked = evaluate(model, test)
