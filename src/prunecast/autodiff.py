@@ -263,6 +263,14 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes)
 
 
+def _kept(a: Tensor, b: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The data a product's backward reads: each operand's gradient reads
+    only the other operand, so ``a``'s data is kept only if ``b`` is on the
+    tape and ``b``'s only if ``a`` is. A constant weight therefore does not
+    keep the activation it multiplies alive."""
+    return (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+
+
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     _broadcast_check(a.shape, b.shape, "add")
@@ -280,15 +288,16 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     _broadcast_check(a.shape, b.shape, "mul")
-    ad, bd = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
     ga, gb = a.requires_grad, b.requires_grad
+    ka, kb = _kept(a, b)
 
     def bw(g):
-        return (_reduce_to(g * bd, ad.shape) if ga else None,
-                _reduce_to(g * ad, bd.shape) if gb else None)
+        return (_reduce_to(g * kb, a_shape) if ga else None,
+                _reduce_to(g * ka, b_shape) if gb else None)
 
-    return _record([a, b], np.multiply(ad, bd, out=empty(max(ad.shape, bd.shape, key=len))),
-                   bw)
+    out = np.multiply(a.data, b.data, out=empty(max(a_shape, b_shape, key=len)))
+    return _record([a, b], out, bw)
 
 
 def scale(a, c: float) -> Tensor:
@@ -307,10 +316,11 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
     ga, gb = a.requires_grad, b.requires_grad
+    ka, kb = _kept(a, b)
     if bd.ndim == 2:
         def bw(g):
-            da = g @ bd.swapaxes(-1, -2) if ga else None
-            db = np.tensordot(ad, g, axes=(tuple(range(ad.ndim - 1)),
+            da = g @ kb.swapaxes(-1, -2) if ga else None
+            db = np.tensordot(ka, g, axes=(tuple(range(ka.ndim - 1)),
                                            tuple(range(g.ndim - 1)))) if gb else None
             return da, db
     else:
@@ -318,8 +328,8 @@ def matmul(a, b) -> Tensor:
             raise ShapeError(f"matmul batch dimensions disagree: {ad.shape} vs {bd.shape}")
 
         def bw(g):
-            return (g @ bd.swapaxes(-1, -2) if ga else None,
-                    ad.swapaxes(-1, -2) @ g if gb else None)
+            return (g @ kb.swapaxes(-1, -2) if ga else None,
+                    ka.swapaxes(-1, -2) @ g if gb else None)
 
     return _record([a, b], product(ad, bd), bw)
 

@@ -3,16 +3,23 @@
 Layout: 8-byte magic ("PCKPT\\0\\0" + version byte), 4-byte little-endian
 header length, canonical-JSON UTF-8 header (config, layer masks, EMA ledger,
 ``tensor_index``), the little-endian f64 tensors in that order, and a CRC32
-of everything before it. Round-trips are byte-exact. The reader checks the
-payload's length against the config's exact ``param_count`` before it
-allocates a model, then builds one that draws no weights and fills it.
+of everything before it. Round-trips are byte-exact. Tensors stream between
+the file and the model's own arrays: the writer writes each from its memory,
+and the reader checks the payload's length against the config's exact
+``param_count`` before it allocates a model, builds one that draws no
+weights and reads each tensor straight into it. Neither holds a second
+copy of the payload.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
+import sys
 import zlib
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -38,8 +45,10 @@ def tensor_index(model: Forecaster) -> list[dict]:
             for (name, arr), offset in zip(params, offsets)]
 
 
-def _chunks(model: Forecaster) -> list[bytes]:
-    """The file as byte strings: framing, header, one per tensor, CRC32."""
+def _chunks(model: Forecaster) -> Iterator[bytes | memoryview]:
+    """The file before its CRC32: framing and header, then each tensor as a
+    byte view of its own memory (a copy only where it is not contiguous
+    little-endian f64)."""
     for l in model.linears():
         require_binary(l)
     header = {
@@ -50,20 +59,29 @@ def _chunks(model: Forecaster) -> list[bytes]:
         "tensors": tensor_index(model),
     }
     head = _canonical(header).encode("utf-8")
-    chunks = [MAGIC + len(head).to_bytes(4, "little"), head]
-    chunks += [np.ascontiguousarray(arr, dtype="<f8").tobytes()
-               for _, arr in model.named_params()]
-    crc = functools.reduce(lambda crc, chunk: zlib.crc32(chunk, crc), chunks, 0)
-    return chunks + [crc.to_bytes(4, "little")]
+    yield MAGIC + len(head).to_bytes(4, "little") + head
+    for _, arr in model.named_params():
+        yield memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
+
+
+def _write(model: Forecaster, write: Callable[[bytes | memoryview], object]) -> None:
+    """Pass the file to ``write`` chunk by chunk, CRC32 last."""
+    crc = 0
+    for chunk in _chunks(model):
+        crc = zlib.crc32(chunk, crc)
+        write(chunk)
+    write(crc.to_bytes(4, "little"))
 
 
 def checkpoint_bytes(model: Forecaster) -> bytes:
-    return b"".join(_chunks(model))
+    parts: list[bytes | memoryview] = []
+    _write(model, parts.append)
+    return b"".join(parts)
 
 
 def save_checkpoint(model: Forecaster, path: str) -> None:
     with open(path, "wb") as f:
-        f.writelines(_chunks(model))
+        _write(model, f.write)
 
 
 HEADER_KEYS = ("config", "layers", "ema", "tensors")
@@ -88,60 +106,119 @@ def load_checkpoint(path: str) -> Forecaster:
     (``model.config_problems``), a payload of other than 8 · ``param_count``
     bytes, a ``tensors`` index other than the config's ``tensor_index``,
     other layers or a ledger that does not fit the model raises
-    ``CheckpointFormatError``. The length check runs before a model is
-    built, so a config far larger than the file allocates nothing; the
-    model is built with ``seed=None`` (no draw) and each tensor copied in.
+    ``CheckpointFormatError``.
+
+    The file streams through once: each tensor is read straight into the
+    model's array, the CRC32 taken over the bytes read. The payload length
+    follows from the file size (so a pipe cannot be read), and it is checked
+    before the model is built (``seed=None``, no draw): a config far larger
+    than the file allocates nothing. A CRC32 mismatch outranks every header
+    problem; one found before the CRC32 is known is raised once the rest of
+    the file has streamed through it and matched. A file that ends early,
+    inside its framing or header, at a short read, or before the payload its
+    config declares (its CRC32 then fails), is ``CheckpointTruncatedError``.
     """
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            info = os.fstat(f.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise CheckpointError(f"{path}: cannot read: not a regular file")
+            return _read(path, f, info.st_size)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    if len(data) < len(MAGIC) + 4 + 4:
-        raise CheckpointTruncatedError(f"{path}: {len(data)} bytes is shorter than "
-                                       "the fixed framing")
-    if data[:len(MAGIC_PREFIX)] != MAGIC_PREFIX:
-        raise CheckpointFormatError(f"{path}: bad magic bytes")
-    version = data[len(MAGIC_PREFIX)]
-    if version != VERSION:
-        raise CheckpointVersionError(f"{path}: format version {version}, "
-                                     f"this reader supports {VERSION}")
-    head_len = int.from_bytes(data[8:12], "little")
-    if len(data) < 12 + head_len + 4:
-        raise CheckpointTruncatedError(f"{path}: header declares {head_len} bytes "
-                                       "but the file ends early")
-    stored_crc = int.from_bytes(data[-4:], "little")
-    actual_crc = zlib.crc32(memoryview(data)[:-4])
-    if stored_crc != actual_crc:
-        raise CheckpointChecksumError(f"{path}: CRC32 {actual_crc:08x} != "
-                                      f"stored {stored_crc:08x}")
+
+
+def _read_exact(path: str, f: BinaryIO, into, crc: int) -> int:
+    """Fill the writable buffer ``into`` from ``f`` and return ``crc``
+    carried over its bytes."""
+    if f.readinto(into) != len(into):
+        raise CheckpointTruncatedError(f"{path}: the file ends early")
+    return zlib.crc32(into, crc)
+
+
+def _check_crc(path: str, f: BinaryIO, crc: int, cut: bool) -> None:
+    """Compare ``crc`` with the stored CRC32 that ends the file. ``cut``: the
+    file is shorter than its config declares, so a mismatch means it was
+    truncated."""
+    stored = bytearray(4)
+    _read_exact(path, f, stored, 0)
+    stored = int.from_bytes(stored, "little")
+    if stored == crc:
+        return
+    if cut:
+        raise CheckpointTruncatedError(f"{path}: the file ends before the payload its "
+                                       "config declares")
+    raise CheckpointChecksumError(f"{path}: CRC32 {crc:08x} != stored {stored:08x}")
+
+
+def _header(path: str, head: bytearray) -> dict:
+    """The parsed header, with every key present and a valid config."""
     try:
-        header = json.loads(data[12:12 + head_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
-
     _require_keys(path, "header", header, HEADER_KEYS)
     problems = config_problems(header["config"], where="config")
     if problems:
         raise CheckpointFormatError(f"{path}: bad header config: " + "; ".join(problems))
-    cfg = ForecasterConfig(**header["config"])
-    payload = memoryview(data)[12 + head_len:-4]
-    size = 8 * cfg.param_count
-    if len(payload) != size:
-        raise CheckpointFormatError(f"{path}: the payload holds {len(payload)} bytes, "
-                                    f"not the {size} its config's tensors take")
-    model = Forecaster(cfg, seed=None)
-    index = tensor_index(model)
-    if _canonical(header["tensors"]) != _canonical(index):
-        got = header["tensors"] if isinstance(header["tensors"], list) else []
-        i = next((i for i, (a, b) in enumerate(zip(got, index))
-                  if _canonical(a) != _canonical(b)), min(len(got), len(index)))
-        want = index[i]["name"] if i < len(index) else f"absent, the config has {i} tensors"
-        raise CheckpointFormatError(f"{path}: tensors: entry {i} must be {want}")
-    # copied, not viewed: the payload starts at byte 12 + head_len, and numpy
-    # would copy an unaligned view before every matmul
-    for (_, arr), spec in zip(model.named_params(), index):
-        arr[...] = np.frombuffer(payload, "<f8", arr.size, spec["offset"]).reshape(arr.shape)
+    return header
+
+
+def _check_index(path: str, stored, index: list[dict]) -> None:
+    """The stored ``tensors`` index must be the one derived from the config."""
+    if _canonical(stored) == _canonical(index):
+        return
+    got = stored if isinstance(stored, list) else []
+    i = next((i for i, (a, b) in enumerate(zip(got, index))
+              if _canonical(a) != _canonical(b)), min(len(got), len(index)))
+    want = index[i]["name"] if i < len(index) else f"absent, the config has {i} tensors"
+    raise CheckpointFormatError(f"{path}: tensors: entry {i} must be {want}")
+
+
+def _read(path: str, f: BinaryIO, size: int) -> Forecaster:
+    """``load_checkpoint`` on the open file ``f`` of ``size`` bytes."""
+    if size < len(MAGIC) + 4 + 4:
+        raise CheckpointTruncatedError(f"{path}: {size} bytes is shorter than "
+                                       "the fixed framing")
+    frame = bytearray(len(MAGIC) + 4)
+    crc = _read_exact(path, f, frame, 0)
+    if frame[:len(MAGIC_PREFIX)] != MAGIC_PREFIX:
+        raise CheckpointFormatError(f"{path}: bad magic bytes")
+    version = frame[len(MAGIC_PREFIX)]
+    if version != VERSION:
+        raise CheckpointVersionError(f"{path}: format version {version}, "
+                                     f"this reader supports {VERSION}")
+    head_len = int.from_bytes(frame[8:12], "little")
+    payload_len = size - 12 - head_len - 4
+    if payload_len < 0:
+        raise CheckpointTruncatedError(f"{path}: header declares {head_len} bytes "
+                                       "but the file ends early")
+    head = bytearray(head_len)
+    crc = _read_exact(path, f, head, crc)
+
+    declared = problem = None
+    try:
+        header = _header(path, head)
+        cfg = ForecasterConfig(**header["config"])
+        declared = 8 * cfg.param_count
+        if payload_len != declared:
+            raise CheckpointFormatError(f"{path}: the payload holds {payload_len} bytes, "
+                                        f"not the {declared} its config's tensors take")
+        model = Forecaster(cfg, seed=None)
+        _check_index(path, header["tensors"], tensor_index(model))
+    except CheckpointFormatError as exc:
+        problem = exc
+    if problem is not None:
+        buf = memoryview(bytearray(1 << 16))
+        for lo in range(0, payload_len, len(buf)):
+            crc = _read_exact(path, f, buf[:payload_len - lo], crc)
+        _check_crc(path, f, crc, cut=declared is not None and payload_len < declared)
+        raise problem
+    for _, arr in model.named_params():
+        crc = _read_exact(path, f, memoryview(arr).cast("B"), crc)
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+    _check_crc(path, f, crc, cut=False)
 
     linears = model.linears()
     if not isinstance(header["layers"], list) or len(header["layers"]) != len(linears):

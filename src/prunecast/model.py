@@ -87,6 +87,20 @@ class ForecasterConfig:
         return {k: getattr(self, k) for k in FIELDS}
 
 
+def pools(cfg: ForecasterConfig, batch: int) -> bool:
+    """Whether a no-tape forward of ``batch`` windows can ask ``ad.empty``
+    for ``ad.POOL_MIN`` elements or multiply a weight that large, so that a
+    reuse scope changes anything. Its arrays are at most (batch, tokens,
+    w) for w the widest of patch_len, d_model, d_ffn, horizon and heads ·
+    tokens (the scores), and its weights at most d_model by the widest of
+    the others; a sliced twin's are no larger. Otherwise a scope pools
+    nothing and only costs time.
+    """
+    widest = max(cfg.patch_len, cfg.d_model, cfg.d_ffn, cfg.horizon)
+    return max(batch * cfg.tokens * max(widest, cfg.heads * cfg.tokens),
+               cfg.d_model * widest) >= ad.POOL_MIN
+
+
 class ForwardContext:
     """Carries the tape and collects the leaves of one forward pass.
 
@@ -315,14 +329,15 @@ class ForecasterBase:
         """Forward a (B, L) batch of context windows; see ``forward_batch``.
 
         A plain inference forward, with no tape and no analysis capture,
-        runs in an ``ad.reuse_scope``: each large op output reuses a buffer
-        that an earlier layer of the same forward has finished with. The
-        scope closes when the forward returns or raises.
+        runs in an ``ad.reuse_scope`` when ``pools`` says its batch can use
+        one: each large op output reuses a buffer that an earlier layer of
+        the same forward has finished with. The scope closes when the
+        forward returns or raises.
         """
-        plain = ctx.tape is None and cap is None
+        windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+        cfg = self.cfg
+        plain = ctx.tape is None and cap is None and pools(cfg, windows.shape[0])
         with ad.reuse_scope() if plain else contextlib.nullcontext():
-            windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-            cfg = self.cfg
             if windows.shape[-1] != cfg.context_len:
                 raise ShapeError(f"window length {windows.shape[-1]} != context {cfg.context_len}")
             norm_w, mu, sigma = self.normalize_windows(windows)

@@ -1,5 +1,7 @@
 """Tape and operator tests, gradients checked against central differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ class TestMatmul:
                   [a, b], rtol=1e-6, label="matmul shared rhs")
         _check_op(lambda x, y: ad.mse_loss(ad.matmul(x, y), ad.constant(t)),
                   [a, c], rtol=1e-6, label="matmul batched")
+
+    @pytest.mark.parametrize("op, shapes", [(ad.matmul, [(2, 3, 4), (4, 5)]),
+                                            (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+                                            (ad.mul, [(3, 4), (4,)])])
+    def test_closure_keeps_only_what_its_backward_reads(self, rng, op, shapes):
+        """With the weight a constant, the input's gradient needs only the
+        weight: the input is freed once its caller drops it. With the weight
+        on the tape, its gradient needs the input, which the closure keeps."""
+        for weight_on_tape in (False, True):
+            tape = ad.Tape()
+            x, w = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+            alive = weakref.ref(x)
+            out = op(tape.watch(x), tape.watch(w) if weight_on_tape else ad.constant(w))
+            del x
+            assert (alive() is not None) == weight_on_tape
+            assert tape.nodes[out.node_id].backward is not None
 
 
 class TestSoftmax:

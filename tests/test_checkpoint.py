@@ -1,6 +1,8 @@
 """Checkpoint round-trips and corruption handling."""
 
 import json
+import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -384,3 +386,71 @@ class TestHeaderProperty:
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+
+class TestStreaming:
+    """Tensors stream between the file and the model's own arrays, and the
+    CRC32 is still checked before any header problem is reported."""
+
+    def test_peak_memory_stays_near_one_copy_of_the_payload(self, tmp_path):
+        model = Forecaster(tiny_config(layers=3, heads=4, d_model=128, d_ffn=512), seed=1)
+        payload = 8 * model.cfg.param_count
+        assert payload > 4_000_000
+        path = str(tmp_path / "m.ckpt")
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            loading = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert saved < 0.5 * payload
+        assert loading < 1.5 * payload  # the model itself is one payload
+        assert checkpoint_bytes(loaded) == checkpoint_bytes(model)
+
+    def test_unreadable_header_with_bad_crc_fails_checksum(self, tmp_path):
+        head = b'{"config":' + b"1" * 5000 + b"}"
+        body = MAGIC + len(head).to_bytes(4, "little") + head + bytes(16)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(body + (zlib.crc32(body) ^ 1).to_bytes(4, "little"))
+        with pytest.raises(CheckpointChecksumError, match="CRC32"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", sorted(HEADER_EDITS))
+    def test_bad_crc_outranks_every_header_problem(self, tmp_path, pruned_model, name):
+        """Read before the CRC32, the header problem waits until the rest of
+        the file has streamed through it. A file shorter than the payload
+        its config declares was cut."""
+        blob = bytearray(rewrite_header(checkpoint_bytes(pruned_model), HEADER_EDITS[name][0]))
+        blob[-5] ^= 0xFF  # the last payload byte
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(bytes(blob))
+        error = (CheckpointTruncatedError if name == "config-beyond-payload"
+                 else CheckpointChecksumError)
+        with pytest.raises(error):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("cut", [1, 4, 5, 8, 5000])
+    def test_payload_shorter_than_its_header_declares_is_truncated(self, tmp_path,
+                                                                   pruned_model, cut):
+        blob = checkpoint_bytes(pruned_model)
+        assert cut < 8 * pruned_model.cfg.param_count
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CheckpointTruncatedError, match="ends before the payload"):
+            load_checkpoint(str(path))
+
+    def test_pipe_fails_closed(self, pruned_model):
+        """A pipe has no size to check the payload length against up front."""
+        blob = checkpoint_bytes(pruned_model)
+        read, write = os.pipe()
+        try:
+            os.write(write, blob[:4096])
+            os.close(write)
+            with pytest.raises(CheckpointError, match="cannot read: not a regular file"):
+                load_checkpoint(f"/dev/fd/{read}")
+        finally:
+            os.close(read)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prunecast import autodiff as ad
+from prunecast import model as model_module
 from prunecast.errors import ShapeError
 from prunecast.model import (ACTIVATIONS, ATTENTION_STYLES, NEG_INF, NORM_KINDS, Forecaster,
                              ForecasterConfig, ForwardContext, MaskedLinear)
@@ -447,6 +448,30 @@ class TestInferenceBuffers:
                 rng.normal(0, 1, (POOLED_BATCH, cfg.context_len)))
         one, six = (len(pool) for pool in scopes)
         assert one == six > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scope_opens_only_where_something_can_be_pooled(self, rng, kind, scopes,
+                                                             monkeypatch):
+        """At the demos/06 shape, 4 windows (as ``bench`` forwards them) make
+        no array or weight of ``POOL_MIN`` elements: no scope opens, and the
+        predictions are those of a forward in one, which pools nothing. At
+        the ``infer_wide`` shape (d_model 256, d_ffn 1024, 64 tokens) a
+        scope opens. With 48 tokens the (batch, 4, 48, 48) scores are the
+        widest arrays, and they reach ``POOL_MIN`` at 4 windows, not 3."""
+        scores = tiny_config(heads=4, patch_len=2, context_len=96)
+        wide = tiny_config(layers=1, heads=8, d_model=256, d_ffn=1024, patch_len=8,
+                           context_len=512, horizon=96)
+        for cfg, batch, pooled in ((demo_config(), 4, False), (scores, 3, False),
+                                   (scores, 4, True), (wide, 4, True)):
+            net = build(cfg, kind, lambda m: mask_randomly(m, rng))
+            x = rng.normal(0, 1, (batch, cfg.context_len))
+            pred = net.forward_batch(x).pred_norm.data
+            assert len(scopes) == pooled and (not pooled or scopes.pop())
+            if not pooled:
+                with monkeypatch.context() as m:
+                    m.setattr(model_module, "pools", lambda cfg, batch: True)
+                    np.testing.assert_array_equal(net.forward_batch(x).pred_norm.data, pred)
+                assert scopes.pop() == []
 
     def test_tape_and_analysis_forwards_open_no_scope(self, rng, scopes):
         cfg = pooled_config()
