@@ -378,27 +378,28 @@ def gelu(a) -> Tensor:
     """GELU, tanh form: x * 0.5 * (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
 
     The cubic is x² · x, not ``x ** 3``: numpy's general ``pow`` costs more
-    than the rest of the op. Temporaries are reused in place. Off the tape
-    nothing reads t back, so the op runs in ``POOL_MIN``-element blocks
-    through one block-sized scratch.
+    than the rest of the op. It runs in ``POOL_MIN``-element blocks on and
+    off the tape, reusing temporaries in place; the tape keeps t whole for
+    the backward, while off it one block-sized t serves every block.
     """
     a = constant(a)
     shape = a.shape
-    # 0-d products come back as numpy scalars, which cannot take out=
-    x = a.data.reshape(shape or (1,))
-    if not a.requires_grad:
+    # flat, so a 0-d product (a numpy scalar, which cannot take out=) is (1,)
+    x = a.data.reshape(-1)
+    if a.requires_grad:
+        # t first, then out: with out first, glibc's heap trim made a d=256
+        # prune step fault about twice as many pages
+        t = np.empty(x.shape)
+        out = np.empty(x.shape)
+    else:
         out = empty(x.shape)
-        xs, outs = x.reshape(-1), out.reshape(-1)
-        t = empty((min(xs.size, POOL_MIN),))
-        for lo in range(0, xs.size, POOL_MIN):
-            hi = min(lo + POOL_MIN, xs.size)
-            _gelu_into(xs[lo:hi], t[:hi - lo], outs[lo:hi])
+        t = empty((min(x.size, POOL_MIN),))
+    for lo in range(0, x.size, POOL_MIN):
+        hi = min(lo + POOL_MIN, x.size)
+        t_lo = lo if a.requires_grad else 0
+        _gelu_into(x[lo:hi], t[t_lo:t_lo + hi - lo], out[lo:hi])
+    if not a.requires_grad:
         return Tensor(out.reshape(shape))
-    # t first, then out: with out first, glibc's heap trim made a d=256
-    # prune step fault about twice as many pages
-    t = np.empty(x.shape)
-    out = np.empty(x.shape)
-    _gelu_into(x, t, out)
 
     def bw(g):
         # 0.5(1 + t) + 0.5 x (1 - t²) C (1 + 3A x²)
@@ -413,7 +414,7 @@ def gelu(a) -> Tensor:
         np.add(t, 1.0, out=p)
         p *= 0.5
         d += p
-        d *= g
+        d *= g.reshape(-1)
         return (d.reshape(shape),)
 
     return _record([a], out.reshape(shape), bw)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, Field, ParseError, require
 from .model import FIELDS as MODEL_FIELDS
@@ -81,15 +82,11 @@ class SplitSpec:
 
     def resolve(self, n_points: int) -> tuple[int, int, int]:
         """Turn counts-or-fractions into point counts; trailing points unused."""
-        parts = []
-        for v in (self.train, self.val, self.test):
-            if 0 < v < 1:
-                parts.append(int(n_points * v))
-            else:
-                parts.append(int(v))
+        parts = tuple(int(n_points * v) if 0 < v < 1 else int(v)
+                      for v in (self.train, self.val, self.test))
         if sum(parts) > n_points:
-            raise ConfigError(f"split {tuple(parts)} exceeds {n_points} points")
-        return tuple(parts)
+            raise ConfigError(f"split {parts} exceeds {n_points} points")
+        return parts
 
 
 @dataclass
@@ -146,15 +143,14 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
         frequency = schema.get("frequency")
         if "timestamp_column" in schema:
             explicit_ts = True
-            tc = schema["timestamp_column"]
-            if tc is None:
-                ts_col = None
-            elif isinstance(tc, int):
-                ts_col = tc
-            else:
-                ts_col = rows[0].index(tc) if tc in rows[0] else None
-                if ts_col is None:
+            ts_col = tc = schema["timestamp_column"]
+            if isinstance(tc, str):
+                if tc not in rows[0]:
                     raise ConfigError(f"timestamp column {tc!r} not in header")
+                ts_col = rows[0].index(tc)
+            elif tc is not None and not 0 <= tc < len(rows[0]):
+                raise ConfigError(f"data.schema.timestamp_column: index {tc} is not a "
+                                  f"column of a {len(rows[0])}-column row")
 
     def is_number(s: str) -> bool:
         try:
@@ -167,6 +163,9 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
     first = rows[0]
     if any(not is_number(c) for c in first):
         header = [c.strip() for c in first]
+        repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+        if repeated is not None:
+            raise ParseError(f"repeated column name {repeated!r}", 1)
         data_rows = rows[1:]
         first_line = 2
     else:
@@ -182,10 +181,8 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
     keep = [j for j in range(width) if j != ts_col]
     if not keep:
         raise ParseError(f"{path}: no numeric columns")
-    if header is not None:
-        names = [header[j] for j in keep]
-    else:
-        names = [f"ch{j}" for j in range(len(keep))]
+    names = ([header[j] for j in keep] if header is not None
+             else [f"ch{j}" for j in range(len(keep))])
 
     values = np.empty((len(data_rows), len(keep)))
     for i, row in enumerate(data_rows):
@@ -210,7 +207,11 @@ def _admissible_starts(region_start: int, region_end: int, spec: SplitSpec,
 
 
 def make_windows(table: SeriesTable, spec: SplitSpec, part: str) -> WindowSet:
-    """Enumerate (context, target, channel) windows of one chronological part."""
+    """Enumerate (context, target, channel) windows of one chronological part.
+
+    Contexts and targets are each cut by one strided view of the (channel,
+    time) series and copied once, channel-major, then time, into a fresh array.
+    """
     if part not in ("train", "val", "test"):
         raise ConfigError(f"part must be train/val/test, got {part!r}")
     n_train, n_val, n_test = spec.resolve(table.n_points)
@@ -220,18 +221,18 @@ def make_windows(table: SeriesTable, spec: SplitSpec, part: str) -> WindowSet:
     region_start, region_end = bounds[part]
     starts = _admissible_starts(region_start, region_end, spec,
                                 allow_lookback=part != "train", part=part)
-
-    contexts, targets, channels = [], [], []
-    for c in range(table.n_channels):
-        col = table.values[:, c]
-        for t in starts:
-            contexts.append(col[t - spec.context_len: t])
-            targets.append(col[t: t + spec.horizon])
-            channels.append(c)
-    if not contexts:
+    if table.n_channels == 0:
         raise ConfigError(f"{part} part yields no windows")
-    return WindowSet(np.array(contexts), np.array(targets),
-                     np.array(channels, dtype=np.intp), list(table.names))
+    series = table.values.T
+
+    def cut(offset: int, width: int) -> np.ndarray:
+        # row (c, i) is series[c, t + offset:t + offset + width] for t = starts[i]
+        view = sliding_window_view(series, width, axis=1)
+        return np.concatenate(view[:, starts.start + offset:starts.stop + offset:starts.step])
+
+    channels = np.repeat(np.arange(table.n_channels, dtype=np.intp), len(starts))
+    return WindowSet(cut(-spec.context_len, spec.context_len), cut(0, spec.horizon),
+                     channels, list(table.names))
 
 
 def synth_dataset(kind: str, seed: int, dims: tuple[int, int],

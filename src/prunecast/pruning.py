@@ -300,6 +300,15 @@ class PruneTrace:
         return "\n".join(r.to_json() for r in self.records) + "\n"
 
 
+def _shuffled_batches(rng: np.random.Generator, n: int, size: int, epochs: int):
+    """Index batches of ``size`` (the last of an epoch may be short), each
+    epoch a fresh permutation of ``n`` drawn when its first batch is."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for b in range(0, n, size):
+            yield order[b:b + size]
+
+
 def progressive_prune(model: Forecaster, windows: WindowSet, schedule: PruneSchedule,
                       alpha: float) -> tuple[ImportanceLedger, PruneTrace]:
     """Batch-wise score → EMA → global TopK removal until the target ratio.
@@ -322,38 +331,25 @@ def progressive_prune(model: Forecaster, windows: WindowSet, schedule: PruneSche
     trace = PruneTrace()
     rng = np.random.default_rng(schedule.seed)
     removed = 0
-    j = 0
-    done = removed >= target_total
-    for _ in range(schedule.epochs):
-        if done:
+    epochs = schedule.epochs if target_total > 0 else 0
+    for idx in _shuffled_batches(rng, n, schedule.batch_size, epochs):
+        grads = per_sample_grads(model, windows.contexts[idx], windows.targets[idx])
+        scores = raw_importance(grads.stacked(ledger))
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise PruneDivergedError(
+                f"non-finite importance score at prune batch {ledger.batch_count + 1} for "
+                f"{bad.size} channel(s), first {ledger.ref(bad[0])}; "
+                f"batch loss {grads.loss}")
+        ema_update(ledger, scores)
+        ledger.batch_count += 1
+        pruned = prune_step(ledger, model, min(k, target_total - removed))
+        removed += len(pruned)
+        trace.append(BatchRecord(ledger.batch_count, grads.loss, pruned, ledger.alive_count()))
+        if removed >= target_total or (
+                schedule.target_param_fraction is not None
+                and model.param_fraction() <= schedule.target_param_fraction):
             break
-        order = rng.permutation(n)
-        for b in range(batches_per_epoch):
-            idx = order[b * schedule.batch_size:(b + 1) * schedule.batch_size]
-            if idx.size == 0:
-                continue
-            j += 1
-            grads = per_sample_grads(model, windows.contexts[idx], windows.targets[idx])
-            scores = raw_importance(grads.stacked(ledger))
-            bad = np.flatnonzero(~np.isfinite(scores))
-            if bad.size:
-                raise PruneDivergedError(
-                    f"non-finite importance score at prune batch {j} for "
-                    f"{bad.size} channel(s), first {ledger.ref(bad[0])}; "
-                    f"batch loss {grads.loss}")
-            ema_update(ledger, scores)
-            ledger.batch_count += 1
-            k_eff = min(k, target_total - removed)
-            pruned = prune_step(ledger, model, k_eff)
-            removed += len(pruned)
-            trace.append(BatchRecord(j, grads.loss, pruned, ledger.alive_count()))
-            if removed >= target_total:
-                done = True
-            if (schedule.target_param_fraction is not None
-                    and model.param_fraction() <= schedule.target_param_fraction):
-                done = True
-            if done:
-                break
     model.ledger = ledger
     return ledger, trace
 

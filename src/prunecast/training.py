@@ -219,7 +219,7 @@ def evaluate(model, windows: WindowSet, normalized: bool = True,
 def bench_inference(model, windows: np.ndarray, repeats: int = 50,
                     warmup: int = 3) -> dict:
     """Mean/std wall time of forwarding the batch, after warm-up runs."""
-    contexts = windows.contexts if isinstance(windows, WindowSet) else np.atleast_2d(windows)
+    contexts = np.atleast_2d(windows)
     for _ in range(warmup):
         model.forward_batch(contexts)
     times = []

@@ -131,6 +131,22 @@ class TestElementwise:
         _check_op(lambda a: ad.mse_loss(ad.gelu(a), ad.constant(t)), [x],
                   rtol=1e-6, label="gelu")
 
+    def test_gelu_blocked_on_tape_matches_whole_array_closed_form(self, rng):
+        # more than two blocks, the last one short
+        x = rng.uniform(-6, 6, (2, ad.POOL_MIN + 1234))
+        target = rng.uniform(-1, 1, x.shape)
+        tape = ad.Tape()
+        leaf = tape.watch(x)
+        y = ad.gelu(leaf)
+        tape.backward(ad.mse_loss(y, ad.constant(target)))
+        assert np.array_equal(y.data, ad.gelu(x).data)
+        c, a = np.sqrt(2.0 / np.pi), 0.044715
+        t = np.tanh((x * x * x * a + x) * c)
+        assert np.array_equal(y.data, (t + 1.0) * x * 0.5)
+        g = (2.0 / x.size) * (y.data - target)
+        closed = (1.0 - t * t) * x * (0.5 * c) * (x * x * (3.0 * a) + 1.0) + (t + 1.0) * 0.5
+        assert np.array_equal(tape.grad(leaf), closed * g)
+
     def test_gelu_scalar_keeps_shape(self):
         tape = ad.Tape()
         x = tape.watch(np.array(0.7))

@@ -75,6 +75,26 @@ class TestLoadCsv:
         assert table.names == ["x"]
         assert table.frequency == "h"
 
+    @pytest.mark.parametrize("header, repeated", [("a,a,b", "a"), ("a,b,b", "b"),
+                                                  ("date,x, x", "x")])
+    def test_repeated_column_name_rejected(self, tmp_path, header, repeated):
+        # a repeat would make a channel name select the first column twice
+        path = write_csv(tmp_path, header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError, match=f"^line 1: repeated column name '{repeated}'$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("index", [3, 5, -1])
+    def test_timestamp_index_outside_the_row_rejected(self, tmp_path, index):
+        path = write_csv(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
+        with pytest.raises(ConfigError, match=f"timestamp_column: index {index} .*3-column"):
+            load_csv(path, schema={"timestamp_column": index})
+
+    def test_timestamp_index_drops_that_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
+        table = load_csv(path, schema={"timestamp_column": 2})
+        assert table.names == ["a", "b"]
+        np.testing.assert_array_equal(table.values, [[1.0, 2.0], [4.0, 5.0]])
+
 
 # Cells a CSV row may hold: numbers, words, a blank cell and non-finite values.
 CELLS = (st.integers(-99, 99).map(str) | st.floats(-1e6, 1e6).map(repr)
@@ -215,6 +235,39 @@ class TestWindows:
             ws = make_windows(table, spec, "train")
             expected = len(range(L, length - hz + 1, stride))
             assert len(ws) == expected
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
+    def test_randomized_against_brute_force(self, rng, n_channels):
+        for _ in range(12):
+            L, hz, stride = (int(v) for v in rng.integers(1, [9, 6, 5]))
+            n = int(rng.integers(4 * (L + hz), 120))
+            if rng.random() < 0.5:
+                split = (0.5, 0.25, 0.25)
+            else:
+                n_train = int(rng.integers(L + hz, n - 2 * hz + 1))
+                n_val = int(rng.integers(hz, n - n_train - hz + 1))
+                split = (n_train, n_val, int(rng.integers(hz, n - n_train - n_val + 1)))
+            table = SeriesTable([f"c{i}" for i in range(n_channels)],
+                                rng.normal(size=(n, n_channels)))
+            spec = SplitSpec(*split, context_len=L, horizon=hz, stride=stride)
+            n_train, n_val, n_test = spec.resolve(n)
+            for part, bounds in (("train", (0, n_train)),
+                                 ("val", (n_train, n_train + n_val)),
+                                 ("test", (n_train + n_val, n_train + n_val + n_test))):
+                ws = make_windows(table, spec, part)
+                expected = [(ctx, tgt, c) for c in range(n_channels)
+                            for ctx, tgt in brute_force_windows(
+                                table.values[:, c], bounds, L, hz, stride, part != "train")]
+                np.testing.assert_array_equal(ws.contexts, [e[0] for e in expected])
+                np.testing.assert_array_equal(ws.targets, [e[1] for e in expected])
+                np.testing.assert_array_equal(ws.channels, [e[2] for e in expected])
+                assert ws.contexts.shape == (len(expected), L)
+                assert ws.targets.shape == (len(expected), hz)
+                assert (ws.contexts.dtype, ws.targets.dtype, ws.channels.dtype) == (
+                    np.float64, np.float64, np.intp)
+                for a in (ws.contexts, ws.targets, ws.channels):
+                    assert a.flags.c_contiguous and a.flags.writeable
+                    assert not np.shares_memory(a, table.values)
 
 
 class TestSynth:
