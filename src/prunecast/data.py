@@ -136,21 +136,9 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
         raise ParseError("blank row", rows.index([]) + 1)
 
     frequency = None
-    ts_col: int | None = None
-    explicit_ts = False
     if schema:
         require(schema, SCHEMA_FIELDS, "data.schema")
         frequency = schema.get("frequency")
-        if "timestamp_column" in schema:
-            explicit_ts = True
-            ts_col = tc = schema["timestamp_column"]
-            if isinstance(tc, str):
-                if tc not in rows[0]:
-                    raise ConfigError(f"timestamp column {tc!r} not in header")
-                ts_col = rows[0].index(tc)
-            elif tc is not None and not 0 <= tc < len(rows[0]):
-                raise ConfigError(f"data.schema.timestamp_column: index {tc} is not a "
-                                  f"column of a {len(rows[0])}-column row")
 
     def is_number(s: str) -> bool:
         try:
@@ -174,10 +162,19 @@ def load_csv(path: str, schema: dict | None = None) -> SeriesTable:
     if not data_rows:
         raise ParseError(f"{path}: no data rows")
 
-    if not explicit_ts:
+    width = len(first)
+    if schema and "timestamp_column" in schema:
+        ts_col = tc = schema["timestamp_column"]
+        if isinstance(tc, str):  # a name: looked up in the stripped header, if any
+            if header is None or tc not in header:
+                raise ConfigError(f"timestamp column {tc!r} not in header")
+            ts_col = header.index(tc)
+        elif tc is not None and not 0 <= tc < width:
+            raise ConfigError(f"data.schema.timestamp_column: index {tc} is not a "
+                              f"column of a {width}-column row")
+    else:
         ts_col = 0 if not is_number(data_rows[0][0]) else None
 
-    width = len(first)
     keep = [j for j in range(width) if j != ts_col]
     if not keep:
         raise ParseError(f"{path}: no numeric columns")

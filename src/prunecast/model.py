@@ -4,7 +4,8 @@ Every linear transformation carries binary input/output channel masks with
 the identity h = f(x ⊙ m_in) ⊙ m_out = x (W ⊙ m_inᵀm_out) + b ⊙ m_out.
 Forward passes can run bare (numpy only) or on a gradient tape; the
 capture pass tiles each mask leaf to one row per window, so its gradient
-holds the per-sample mask gradients. An analysis capture keeps the
+holds the per-sample mask gradients, and skips the heads and FFN channels
+whose mask gradients are exactly zero. An analysis capture keeps the
 intermediates of the sparsity diagnostics.
 """
 
@@ -14,6 +15,7 @@ import contextlib
 import copy
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -110,6 +112,12 @@ class ForwardContext:
     copy) to the shape of the activation a it multiplies, one row per
     window: its gradient is a ⊙ ∂L/∂(a ⊙ m) per window and token, and no
     weight, bias or gain gradient is ever formed.
+
+    ``Forecaster.forward_batch`` runs the capture pass through layers
+    narrowed to the channels whose mask gradients can be nonzero (see
+    ``Forecaster._capture_block``); their leaves are tiled at that width,
+    and ``kept[layer_id]`` holds the master (input, output) channels they
+    cover, None for a side kept whole.
     """
 
     def __init__(self, tape: Tape | None = None, capture_grads: bool = False):
@@ -117,6 +125,7 @@ class ForwardContext:
         self.capture_grads = capture_grads and tape is not None
         self.param_leaves: dict[str, Tensor] = {}
         self.mask_leaves: dict[str, tuple[Tensor, Tensor]] = {}
+        self.kept: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
 
     def lift(self, name: str, array: np.ndarray) -> Tensor:
         if self.tape is None or self.capture_grads:
@@ -186,6 +195,21 @@ class MaskedLinear:
         out = x @ w
         if self.b is not None:
             out = out + self.b * self.m_out
+        return out
+
+    def narrowed(self, rows: np.ndarray | None = None,
+                 cols: np.ndarray | None = None) -> "MaskedLinear":
+        """This layer over master input channels ``rows`` and output channels
+        ``cols`` (None keeps a side whole): the same ``layer_id``, with the
+        weight, bias and masks gathered."""
+        w, b, m_in, m_out = self.w, self.b, self.m_in, self.m_out
+        if rows is not None:
+            w, m_in = np.take(w, rows, axis=0), m_in[rows]
+        if cols is not None:  # np.take keeps the weight C-contiguous
+            w, m_out = np.take(w, cols, axis=1), m_out[cols]
+            b = None if b is None else b[cols]
+        out = MaskedLinear(self.layer_id, w, b)
+        out.m_in, out.m_out = m_in, m_out
         return out
 
     def surviving_weights(self) -> int:
@@ -325,8 +349,9 @@ class ForecasterBase:
         return (windows - mu) / sigma, mu, sigma
 
     def _forward(self, windows: np.ndarray, ctx: ForwardContext,
-                 cap: AnalysisCapture | None) -> ForwardPass:
-        """Forward a (B, L) batch of context windows; see ``forward_batch``.
+                 cap: AnalysisCapture | None, blocks: list | None = None) -> ForwardPass:
+        """Forward a (B, L) batch of context windows through ``blocks``
+        (by default the model's own); see ``forward_batch``.
 
         A plain inference forward, with no tape and no analysis capture,
         runs in an ``ad.reuse_scope`` when ``pools`` says its batch can use
@@ -349,7 +374,7 @@ class ForecasterBase:
                 t = cfg.tokens
                 causal = np.triu(np.full((t, t), NEG_INF), k=1)
 
-            for block in self.blocks:
+            for block in self.blocks if blocks is None else blocks:
                 if cap is not None:
                     cap.residuals.append(x.data.copy())
                 x = ad.add(x, self.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal,
@@ -455,10 +480,52 @@ class Forecaster(ForecasterBase):
         Returns normalized-scale predictions; de-normalization stats ride
         along. With a tape, every parameter and mask becomes a watched leaf;
         with ``capture_grads`` as well, only the masks are, each tiled to
-        one row per window (see ``ForwardContext``).
+        one row per window (see ``ForwardContext``), and each block runs
+        narrowed by ``_capture_block``. An analysis capture reads every
+        head, so it keeps the full-width blocks.
         """
-        return self._forward(windows, ForwardContext(tape, capture_grads),
-                             AnalysisCapture() if analysis else None)
+        ctx = ForwardContext(tape, capture_grads)
+        blocks = None
+        if ctx.capture_grads and not analysis:
+            blocks = [self._capture_block(block, ctx) for block in self.blocks]
+        return self._forward(windows, ctx, AnalysisCapture() if analysis else None, blocks)
+
+    def _capture_block(self, block: Block, ctx: ForwardContext):
+        """``block`` narrowed to the channels whose mask gradients can be nonzero.
+
+        A head whose V-out and O-in channels are all dead has context 0 and
+        passes back gradient 0, so it adds nothing to the forward and its
+        Q-out, K-out, V-out and O-in mask gradients are exactly 0. The same
+        holds for an FFN channel dead on up-out and down-in, since gelu(0) =
+        relu(0) = 0. Q, K and V keep the other heads' columns and O the
+        same rows, with one head of width 0 if none is left; FFN up keeps
+        the other channels' columns and down the same rows. The
+        residual-facing sides stay full width. Each narrowed layer's master
+        channels go to ``ctx.kept``; a block with nothing to skip is
+        returned as it is.
+        """
+        q, k, v, o, up, down = block.linears
+        d_h = self.cfg.head_dim
+        live = ((v.m_out != 0.0) | (o.m_in != 0.0)).reshape(-1, d_h).any(axis=1)
+        mid = np.flatnonzero((up.m_out != 0.0) | (down.m_in != 0.0))
+        if live.all() and mid.size == up.d_out:
+            return block
+
+        def narrow(layer: MaskedLinear, rows=None, cols=None) -> MaskedLinear:
+            ctx.kept[layer.layer_id] = (rows, cols)
+            return layer.narrowed(rows, cols)
+
+        attn, head_count = (q, k, v, o), block.head_count
+        if not live.all():
+            cols = (np.flatnonzero(live)[:, None] * d_h + np.arange(d_h)).ravel()
+            attn = (narrow(q, cols=cols), narrow(k, cols=cols), narrow(v, cols=cols),
+                    narrow(o, rows=cols))
+            head_count = max(int(live.sum()), 1)
+        ffn = (up, down)
+        if mid.size < up.d_out:
+            ffn = (narrow(up, cols=mid), narrow(down, rows=mid))
+        return SimpleNamespace(norm1=block.norm1, norm2=block.norm2, linears=attn + ffn,
+                               head_count=head_count)
 
     def _head_outputs(self, block: Block, contexts: np.ndarray) -> np.ndarray:
         """Per-head contributions o_i to the residual, masks applied.

@@ -5,7 +5,8 @@ The raw per-channel score over a batch of N windows is
     s_i = | -(1/N) Σ_n g_{n,i} + (1/2N) Σ_n g_{n,i}² |
 
 where g_{n,i} is the gradient of window n's loss w.r.t. mask coordinate i
-(the squared term standing in for the second derivative). Scores are
+(the squared term standing in for the second derivative). Coupled
+channels share one score while both are alive (``COUPLED``). Scores are
 smoothed by an EMA across batches and the globally lowest-scored alive
 channels are removed a few at a time until the schedule's target.
 """
@@ -39,6 +40,14 @@ class ChannelRef:
 
 PROTECTED = (("embed", "input"), ("head", "output"))  # I/O arity, never pruned
 
+# Coupled channels: while both are alive, their per-window mask gradients
+# are equal in exact arithmetic. Q-out i and K-out i meet in one score
+# product (Σ q·∂L/∂q = Σ k·∂L/∂k), and V-out i reaches O only through
+# context column i. Rounding alone would decide which is pruned first, so
+# each key's channel takes the score of the channel its value names.
+COUPLED = {("attn.k", "output"): ("attn.q", "output"),
+           ("attn.o", "input"): ("attn.v", "output")}
+
 FIELDS = {
     "variant": Field(str, "importance", ("importance", "stat", "stat_then_importance")),
     "ratio_per_epoch": Field(float, 0.1, "[0, 1]"),
@@ -59,7 +68,8 @@ class ImportanceLedger:
     order, and each group's channels sit at contiguous ledger positions, so
     all per-channel structure follows from the widths: the ``ChannelRef`` of
     a position, ``rank`` (each position's place in ``ChannelRef`` order, the
-    tie-break of ``prune_step``) and the ``protected`` positions.
+    tie-break of ``prune_step``), the ``protected`` positions and the
+    ``COUPLED`` pairs (``tie_dst`` takes ``tie_src``'s score).
     """
 
     def __init__(self, layout: list[tuple[str, str, int]], alpha: float):
@@ -77,6 +87,16 @@ class ImportanceLedger:
             [np.arange(self.starts[g], self.starts[g + 1]) for g in by_ref]))
         self.protected = np.flatnonzero(np.repeat(
             [(layer_id, side) in PROTECTED for layer_id, side, _ in layout], widths))
+        start = {(layer_id, side): s for (layer_id, side, _), s in zip(layout, self.starts)}
+        src, dst = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for (layer_id, side, width), s in zip(layout, self.starts):
+            block, _, name = layer_id.partition(".")
+            src_name, src_side = COUPLED.get((name, side), ("", ""))
+            source = start.get((f"{block}.{src_name}", src_side))
+            if source is not None:
+                src.append(source + np.arange(width))
+                dst.append(s + np.arange(width))
+        self.tie_src, self.tie_dst = np.concatenate(src), np.concatenate(dst)
 
     @classmethod
     def from_model(cls, model: Forecaster, alpha: float) -> "ImportanceLedger":
@@ -106,6 +126,14 @@ class ImportanceLedger:
         free = self.alive.copy()
         free[self.protected] = False
         return np.flatnonzero(free)
+
+    def tie(self, scores: np.ndarray) -> np.ndarray:
+        """``scores`` (in place) with each coupled channel given its
+        partner's score where both are alive. Where one is dead the scores
+        stay as computed: the alive one's gradient is then exactly 0."""
+        both = self.alive[self.tie_src] & self.alive[self.tie_dst]
+        scores[self.tie_dst[both]] = scores[self.tie_src[both]]
+        return scores
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
@@ -192,6 +220,12 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     batch-mean loss, a leaf row private to window n receives 1/N times the
     gradient of that window's own loss, so
     g_{n,i} = N · Σ_tokens ∂L/∂m[n, t, i].
+
+    The capture pass skips dead heads and FFN channels dead on both sides
+    of the activation (``Forecaster._capture_block``), whose gradients are
+    exactly 0. A narrowed leaf's token sums are written into zeros at the
+    layer's full width, at the master channels ``ctx.kept`` names, so every
+    array is (N, width) and a skipped channel reads 0.0.
     """
     contexts = np.atleast_2d(contexts)
     targets = np.atleast_2d(targets)
@@ -203,9 +237,16 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for layer in model.linears():
-        for side, leaf in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id]):
+        kept = fp.ctx.kept.get(layer.layer_id, (None, None))
+        for side, leaf, idx, width in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id],
+                                          kept, (layer.d_in, layer.d_out)):
             g = tape.grad(leaf)
-            arrays[(layer.layer_id, side)] = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
+            g = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
+            if idx is not None:
+                full = np.zeros((n, width))
+                full[:, idx] = g
+                g = full
+            arrays[(layer.layer_id, side)] = g
     return PerSampleGrads(arrays, loss.item())
 
 
@@ -341,7 +382,7 @@ def progressive_prune(model: Forecaster, windows: WindowSet, schedule: PruneSche
                 f"non-finite importance score at prune batch {ledger.batch_count + 1} for "
                 f"{bad.size} channel(s), first {ledger.ref(bad[0])}; "
                 f"batch loss {grads.loss}")
-        ema_update(ledger, scores)
+        ema_update(ledger, ledger.tie(scores))
         ledger.batch_count += 1
         pruned = prune_step(ledger, model, min(k, target_total - removed))
         removed += len(pruned)

@@ -75,6 +75,19 @@ class TestLoadCsv:
         assert table.names == ["x"]
         assert table.frequency == "h"
 
+    def test_timestamp_name_looked_up_in_the_stripped_header(self, tmp_path):
+        # the header "a, b" names its channels "a" and "b", so "b" is found
+        path = write_csv(tmp_path, "a, b\n1,2\n3,4\n")
+        table = load_csv(path, schema={"timestamp_column": "b"})
+        assert table.names == ["a"]
+        np.testing.assert_array_equal(table.values, [[1.0], [3.0]])
+
+    def test_timestamp_name_without_a_header_rejected(self, tmp_path):
+        # a headerless file's first row is data: its cells name no column
+        path = write_csv(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(ConfigError, match="timestamp column '2' not in header"):
+            load_csv(path, schema={"timestamp_column": "2"})
+
     @pytest.mark.parametrize("header, repeated", [("a,a,b", "a"), ("a,b,b", "b"),
                                                   ("date,x, x", "x")])
     def test_repeated_column_name_rejected(self, tmp_path, header, repeated):

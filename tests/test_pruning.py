@@ -17,6 +17,7 @@ from prunecast.pruning import (ChannelRef, ImportanceLedger, PerSampleGrads,
                                oracle_importance, per_sample_grads,
                                progressive_prune, prune_stat, prune_step,
                                raw_importance, taylor2_importance)
+from prunecast.slicing import slice_pruned
 from prunecast.training import TrainConfig, finetune
 
 from oracles import assert_grads_close, plant_dead_ffn_channels, plant_dead_head
@@ -242,8 +243,16 @@ class TestCapturePass:
         tokens = (4, model.cfg.tokens)
         for layer in model.linears():
             lead = tokens[:1] if layer is model.head else tokens
+            rows, cols = fp.ctx.kept.get(layer.layer_id, (None, None))
             assert [leaf.shape for leaf in fp.ctx.mask_leaves[layer.layer_id]] == [
-                lead + (layer.d_in,), lead + (layer.d_out,)], layer.layer_id
+                lead + (layer.d_in if rows is None else rows.size,),
+                lead + (layer.d_out if cols is None else cols.size,)], layer.layer_id
+        for block in model.blocks:  # residual-facing sides stay full width
+            for layer in (block.wq, block.wk, block.wv, block.ffn_up):
+                assert fp.ctx.kept.get(layer.layer_id, (None,))[0] is None
+            for layer in (block.wo, block.ffn_down):
+                assert fp.ctx.kept.get(layer.layer_id, (None, None))[1] is None
+        assert fp.ctx.kept and not {"embed", "head"} & fp.ctx.kept.keys()
         tape.backward(ad.mse_loss(fp.pred_norm,
                                   ad.constant(fp.normalized_targets(ws.targets))))
         per_sample_grads(model, ws.contexts, ws.targets)
@@ -272,6 +281,151 @@ class TestCapturePass:
                     np.testing.assert_allclose(grads.arrays[(layer.layer_id, side)][n],
                                                tape.grad(leaf), rtol=0, atol=1e-10,
                                                err_msg=f"{layer.layer_id}:{side} window {n}")
+
+
+def kill_heads(model, block_idx, heads):
+    """Mask whole heads: every V-out and O-in channel of their groups."""
+    block = model.blocks[block_idx]
+    for head in heads:
+        g = model.head_group(head)
+        block.wv.m_out[g] = 0.0
+        block.wo.m_in[g] = 0.0
+
+
+def kill_ffn(model, block_idx, channels):
+    """Mask FFN channels on both sides of the activation."""
+    block = model.blocks[block_idx]
+    block.ffn_up.m_out[channels] = 0.0
+    block.ffn_down.m_in[channels] = 0.0
+
+
+def skipped_channels(model):
+    """(layer_id, side) -> the channels whose mask gradients the capture pass
+    may skip, from the masks alone: every Q-out, K-out, V-out and O-in
+    channel of a head whose V-out and O-in channels are all dead, and each
+    FFN channel dead on up-out and down-in."""
+    out = {}
+    for block in model.blocks:
+        heads = [model.head_group(h) for h in range(model.cfg.heads)]
+        dead = [i for g in heads if not (block.wv.m_out[g].any() or block.wo.m_in[g].any())
+                for i in range(g.start, g.stop)]
+        for layer in (block.wq, block.wk, block.wv):
+            out[(layer.layer_id, "output")] = dead
+        out[(block.wo.layer_id, "input")] = dead
+        mid = list(np.flatnonzero((block.ffn_up.m_out == 0.0) & (block.ffn_down.m_in == 0.0)))
+        out[(block.ffn_up.layer_id, "output")] = out[(block.ffn_down.layer_id, "input")] = mid
+    return out
+
+
+ALL_SETTINGS = pytest.mark.parametrize("overrides", [
+    dict(norm=norm, activation=act, attention=att)
+    for norm in ("layernorm", "rmsnorm") for act in ("gelu", "relu")
+    for att in ("bidirectional", "causal")], ids=lambda o: "-".join(o.values()))
+
+
+def wide_heads(**overrides):
+    return Forecaster(tiny_config(layers=2, heads=4, d_model=16, **overrides), seed=8)
+
+
+class TestCompactCapture:
+    """The capture pass skips dead heads and doubly-dead FFN channels; the
+    full-width reference ``full_tape_per_sample_grads`` runs them all."""
+
+    @ALL_SETTINGS
+    def test_skipped_channels_zero_and_the_rest_match_full_width(self, rng, overrides):
+        model = wide_heads(**overrides)
+        prune_at_random(model, rng)
+        kill_heads(model, 0, [1])
+        kill_heads(model, 1, [0, 3])
+        kill_ffn(model, 0, [2, 5, 9])
+        kill_ffn(model, 1, [0, 7])
+        # head 3 of block 0 has no channel alive on both V-out and O-in, so it
+        # adds nothing to the forward, yet its V-out and O-in mask gradients
+        # are not zero: it must not be skipped
+        g = model.head_group(3)
+        model.blocks[0].wv.m_out[g.start:g.start + 2] = 1.0
+        model.blocks[0].wv.m_out[g.start + 2:g.stop] = 0.0
+        model.blocks[0].wo.m_in[g.start:g.start + 2] = 0.0
+        model.blocks[0].wo.m_in[g.start + 2:g.stop] = 1.0
+        ws = small_windows(model, 6, rng)
+        expected, loss, _ = full_tape_per_sample_grads(model, ws.contexts, ws.targets)
+        tape = ad.Tape()
+        kept = model.forward_batch(ws.contexts, tape=tape, capture_grads=True).ctx.kept
+        assert {f"block{i}.{name}" for i in (0, 1) for name in (
+            "attn.q", "attn.k", "attn.v", "attn.o", "ffn.up", "ffn.down")} == kept.keys()
+        assert set(range(g.start, g.stop)) <= set(kept["block0.attn.v"][1])
+        assert np.abs(expected[("block0.attn.v", "output")][:, g]).max() > 0.0
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        assert grads.loss == pytest.approx(loss, rel=1e-12, abs=0)
+        largest = max(np.abs(arr).max() for arr in expected.values())
+        skipped = skipped_channels(model)
+        assert sum(map(len, skipped.values())) >= 4 * 3 * 4 + 2 * 5
+        for key, arr in expected.items():
+            got = grads.arrays[key]
+            assert got.shape == arr.shape, key
+            assert (got[:, skipped.get(key, [])] == 0.0).all(), key
+            assert np.abs(got - arr).max() <= 1e-12 * largest, key
+
+    @SETTINGS
+    def test_unpruned_model_is_bit_identical(self, rng, overrides):
+        model = Forecaster(tiny_config(layers=2, **overrides), seed=5)
+        ws = small_windows(model, 5, rng)
+        expected, loss, _ = full_tape_per_sample_grads(model, ws.contexts, ws.targets)
+        fp = model.forward_batch(ws.contexts, tape=ad.Tape(), capture_grads=True)
+        assert fp.ctx.kept == {}
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        assert grads.loss == loss
+        for key, arr in expected.items():
+            assert np.array_equal(grads.arrays[key], arr), key
+
+    @SETTINGS
+    def test_block_without_live_heads_or_ffn_channels(self, rng, overrides):
+        model = wide_heads(**overrides)
+        kill_heads(model, 0, range(4))
+        kill_ffn(model, 1, slice(None))
+        ws = small_windows(model, 4, rng)
+        fp = model.forward_batch(ws.contexts, tape=ad.Tape(), capture_grads=True)
+        assert fp.ctx.kept["block0.attn.q"][1].size == 0
+        assert fp.ctx.kept["block1.ffn.up"][1].size == 0
+        expected, _, _ = full_tape_per_sample_grads(model, ws.contexts, ws.targets)
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        scores = raw_importance(grads.stacked(ImportanceLedger.from_model(model, 0.5)))
+        assert np.isfinite(scores).all()
+        largest = max(np.abs(arr).max() for arr in expected.values())
+        for key, arr in expected.items():
+            assert np.abs(grads.arrays[key] - arr).max() <= 1e-12 * largest, key
+
+    def test_non_finite_alive_weight_still_raises(self):
+        model = wide_heads()
+        kill_heads(model, 0, [1])
+        kill_ffn(model, 0, [2, 5])
+        model.blocks[0].wq.w[3, model.head_group(2).start] = np.nan
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=1, batch_size=64, seed=0)
+        with pytest.raises(PruneDivergedError, match="prune batch 1"):
+            progressive_prune(model, training_windows(), schedule, alpha=0.5)
+
+    def test_non_finite_skipped_weights_do_not_poison_scores(self, rng):
+        """As in the sliced twin, weights of skipped channels are never read:
+        a NaN there leaves every score finite, where the full-width pass
+        spreads it to every channel (NaN · 0 is NaN)."""
+        model = wide_heads()
+        kill_heads(model, 0, [1])
+        kill_ffn(model, 1, [2, 5])
+        g, block0, block1 = model.head_group(1), model.blocks[0], model.blocks[1]
+        for w in (block0.wq.w, block0.wk.w, block0.wv.w):
+            w[:, g] = np.nan
+        block0.wo.w[g, :] = np.inf
+        block1.ffn_up.w[:, [2, 5]] = np.nan
+        block1.ffn_down.w[[2, 5], :] = np.nan
+        ws = small_windows(model, 4, rng)
+        expected, _, _ = full_tape_per_sample_grads(model, ws.contexts, ws.targets)
+        assert not np.isfinite(expected[("embed", "output")]).any()
+        grads = per_sample_grads(model, ws.contexts, ws.targets)
+        assert all(np.isfinite(arr).all() for arr in grads.arrays.values())
+        assert np.isfinite(slice_pruned(model).predict(ws.contexts)).all()
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=1, batch_size=64, seed=0)
+        ledger, _ = progressive_prune(model, training_windows(), schedule, alpha=0.5)
+        assert np.isfinite(ledger.ema).all()
 
 
 def tuple_sort_prune(ledger, k, protected):
@@ -513,6 +667,54 @@ class TestProgressive:
             mask = layer.m_in if ref.side == "input" else layer.m_out
             assert mask[ref.index] == 0.0
         assert (ledger.ema >= 0).all()
+
+    @SETTINGS
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_reversed_batches_prune_the_same_channels(self, monkeypatch, overrides, seed):
+        """Feeding each prune batch's windows in reverse order changes only
+        the summation order of the batch means. Coupled channels (Q-out and
+        K-out, V-out and O-in) tie exactly, so rounding decides no prune
+        order: the same channels go in the same order. The batch loss, a
+        mean over the reversed windows, agrees to rounding."""
+        ws = training_windows()
+        forward = pruning._shuffled_batches
+
+        def run():
+            model = Forecaster(tiny_config(**overrides), seed=seed)
+            schedule = PruneSchedule(ratio_per_epoch=0.3, epochs=2, batch_size=32, seed=seed)
+            ledger, trace = progressive_prune(model, ws, schedule, alpha=0.5)
+            return model, ledger, trace
+
+        model, ledger, trace = run()
+        monkeypatch.setattr(pruning, "_shuffled_batches",
+                            lambda *args: (idx[::-1] for idx in forward(*args)))
+        model_r, ledger_r, trace_r = run()
+        assert len(trace.records) == len(trace_r.records) > 20
+        for rec, rec_r in zip(trace.records, trace_r.records):
+            assert (rec.batch, rec.pruned, rec.alive_count) == (
+                rec_r.batch, rec_r.pruned, rec_r.alive_count)
+            assert rec.loss == pytest.approx(rec_r.loss, rel=1e-12, abs=0)
+        assert np.array_equal(ledger.alive, ledger_r.alive)
+        for layer, layer_r in zip(model.linears(), model_r.linears()):
+            assert np.array_equal(layer.m_in, layer_r.m_in), layer.layer_id
+            assert np.array_equal(layer.m_out, layer_r.m_out), layer.layer_id
+
+    def test_coupled_channels_share_a_score_while_both_alive(self, rng):
+        model = Forecaster(tiny_config(), seed=3)
+        prune_at_random(model, rng)
+        ledger = ImportanceLedger.from_model(model, alpha=0.5)
+        names = ledger.names()
+        pairs = [(names[s], names[d]) for s, d in zip(ledger.tie_src, ledger.tie_dst)]
+        assert len(pairs) == 2 * 2 * model.cfg.d_model
+        assert all(s.replace("attn.q", "attn.k") == d or
+                   s.replace("attn.v:output", "attn.o:input") == d for s, d in pairs)
+        scores = rng.random(ledger.alive.size)
+        tied = ledger.tie(scores.copy())
+        both = ledger.alive[ledger.tie_src] & ledger.alive[ledger.tie_dst]
+        assert both.any() and not both.all()
+        assert np.array_equal(tied[ledger.tie_dst[both]], scores[ledger.tie_src[both]])
+        untouched = np.setdiff1d(np.arange(scores.size), ledger.tie_dst[both])
+        assert np.array_equal(tied[untouched], scores[untouched])
 
     def test_param_floor_stops_early(self):
         model = Forecaster(tiny_config(), seed=3)
