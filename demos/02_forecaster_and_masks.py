@@ -17,7 +17,7 @@ cfg = ForecasterConfig(layers=2, heads=4, d_model=32, d_ffn=64, patch_len=8,
                        context_len=96, horizon=24)
 model = Forecaster(cfg, seed=42)
 print(f"forecaster: {cfg.layers} blocks, {cfg.heads} heads, d={cfg.d_model}, "
-      f"{model.total_param_count()} parameters")
+      f"{model.cfg.param_count} parameters")
 
 window = np.sin(np.arange(cfg.context_len) * 0.21) + 0.05
 print("forecast head:", np.round(model.forward_window(window)[:5], 4), "...")
@@ -38,7 +38,7 @@ model.blocks[1].wo.m_in[:8] = 0.0
 sliced = slice_pruned(model)
 gap = np.abs(sliced.forward_window(window) - model.forward_window(window)).max()
 print(f"\nsliced vs masked forecast gap: {gap:.2e}")
-print(f"parameters: {model.total_param_count()} -> {sliced.param_count()} "
+print(f"parameters: {model.cfg.param_count} -> {sliced.surviving_param_count()} "
       f"(#p = {sliced.param_fraction():.3f})")
 
 # Checkpoints round-trip the weights, masks and index maps byte-exactly.

@@ -5,7 +5,9 @@
 Every file under either tree is compared by its path relative to the tree
 root, except ``timings.json``, which holds wall-clock figures and is outside
 the byte-stability contract. Prints each file that differs or exists on one
-side only, and exits 1 if there is any, 0 if the trees match.
+side only, and exits 1 if there is any, 0 if the trees match. A differing
+checkpoint is loaded on both sides (run with ``PYTHONPATH=src``), and the
+line says whether its masks match and how far its parameters moved.
 """
 
 from __future__ import annotations
@@ -13,12 +15,32 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from prunecast.checkpoint import load_checkpoint
+from prunecast.errors import PrunecastError
+
 OUT_OF_BAND = {"timings.json"}
 
 
 def tree_files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*")
             if p.is_file() and p.name not in OUT_OF_BAND}
+
+
+def checkpoint_moves(a: Path, b: Path) -> str:
+    """Whether two checkpoints' masks match, and the largest |Δ| over their
+    parameter vectors."""
+    try:
+        ma, mb = load_checkpoint(str(a)), load_checkpoint(str(b))
+    except PrunecastError as exc:
+        return f"unreadable: {exc}"
+    if ma.cfg != mb.cfg:
+        return "configs differ"
+    same = all(np.array_equal(x.m_in, y.m_in) and np.array_equal(x.m_out, y.m_out)
+               for x, y in zip(ma.linears(), mb.linears()))
+    moved = float(np.abs(ma.params - mb.params).max())
+    return f"masks {'match' if same else 'differ'}, max |Δ params| {moved:.3g}"
 
 
 def differing(a: Path, b: Path) -> list[str]:
@@ -30,7 +52,8 @@ def differing(a: Path, b: Path) -> list[str]:
             side = a if rel in files_a else b
             out.append(f"{rel} (only in {side})")
         elif (a / rel).read_bytes() != (b / rel).read_bytes():
-            out.append(str(rel))
+            out.append(f"{rel} ({checkpoint_moves(a / rel, b / rel)})"
+                       if rel.suffix == ".ckpt" else str(rel))
     return out
 
 

@@ -161,14 +161,21 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self._summed: set[int] = set()  # the leaves whose gradient is a caller's array
         self._backward_done = False
 
-    def watch(self, value) -> Tensor:
-        """Register a leaf tensor whose gradient should be tracked."""
+    def watch(self, value, grad: np.ndarray | None = None) -> Tensor:
+        """Register a leaf tensor whose gradient should be tracked. ``grad``,
+        an array of the leaf's shape, is zeroed; the backward then sums the
+        leaf's gradient into it in place, and ``grad(leaf)`` returns it."""
         data = value.data if isinstance(value, Tensor) else value
         t = Tensor(data)
         t.tape = self
         t.node_id = self._add_node((), None)
+        if grad is not None:
+            grad[...] = 0.0
+            self.grads[t.node_id] = grad
+            self._summed.add(t.node_id)
         return t
 
     def _add_node(self, inputs: tuple[int, ...], backward: Callable | None) -> int:
@@ -202,7 +209,10 @@ class Tape:
                     if in_grad is None:
                         continue
                     acc = self.grads.get(in_id)
-                    self.grads[in_id] = in_grad if acc is None else acc + in_grad
+                    if in_id in self._summed:
+                        acc += in_grad
+                    else:
+                        self.grads[in_id] = in_grad if acc is None else acc + in_grad
         finally:
             for node in self.nodes:
                 node.backward = None

@@ -3,12 +3,10 @@
 Layout: 8-byte magic ("PCKPT\\0\\0" + version byte), 4-byte little-endian
 header length, canonical-JSON UTF-8 header (config, layer masks, EMA ledger,
 ``tensor_index``), the little-endian f64 tensors in that order, and a CRC32
-of everything before it. Round-trips are byte-exact. Tensors stream between
-the file and the model's own arrays: the writer writes each from its memory,
-and the reader checks the payload's length against the config's exact
-``param_count`` before it allocates a model, builds one that draws no
-weights and reads each tensor straight into it. Neither holds a second
-copy of the payload.
+of everything before it. Round-trips are byte-exact. The payload is the
+model's parameter vector, ``params``: the writer writes it from memory in
+one piece, and the reader reads it straight into a new model's vector
+(``load_checkpoint``). Neither holds a second copy of the payload.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import os
 import stat
 import sys
 import zlib
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -37,18 +35,16 @@ _canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":")
 
 
 def tensor_index(model: Forecaster) -> list[dict]:
-    """The payload layout: each parameter's name, shape and byte offset, in
-    ``named_params`` order at consecutive offsets."""
-    params = model.named_params()
-    offsets = np.cumsum([0] + [8 * arr.size for _, arr in params]).tolist()
-    return [{"name": name, "shape": list(arr.shape), "offset": offset}
-            for (name, arr), offset in zip(params, offsets)]
+    """The payload layout, ``model.layout``: each parameter's name, shape
+    and byte offset, in ``named_params`` order at consecutive offsets."""
+    return [{"name": name, "shape": list(shape), "offset": 8 * lo}
+            for name, lo, shape in model.layout]
 
 
-def _chunks(model: Forecaster) -> Iterator[bytes | memoryview]:
-    """The file before its CRC32: framing and header, then each tensor as a
-    byte view of its own memory (a copy only where it is not contiguous
-    little-endian f64)."""
+def _write(model: Forecaster, write: Callable[[bytes | memoryview], object]) -> None:
+    """Pass the file to ``write``: framing and header, the payload as a byte
+    view of ``params`` (a copy only on a big-endian host), the CRC32 of
+    both."""
     for l in model.linears():
         require_binary(l)
     header = {
@@ -59,18 +55,11 @@ def _chunks(model: Forecaster) -> Iterator[bytes | memoryview]:
         "tensors": tensor_index(model),
     }
     head = _canonical(header).encode("utf-8")
-    yield MAGIC + len(head).to_bytes(4, "little") + head
-    for _, arr in model.named_params():
-        yield memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
-
-
-def _write(model: Forecaster, write: Callable[[bytes | memoryview], object]) -> None:
-    """Pass the file to ``write`` chunk by chunk, CRC32 last."""
-    crc = 0
-    for chunk in _chunks(model):
-        crc = zlib.crc32(chunk, crc)
-        write(chunk)
-    write(crc.to_bytes(4, "little"))
+    frame = MAGIC + len(head).to_bytes(4, "little") + head
+    payload = memoryview(np.ascontiguousarray(model.params, dtype="<f8")).cast("B")
+    write(frame)
+    write(payload)
+    write(zlib.crc32(payload, zlib.crc32(frame)).to_bytes(4, "little"))
 
 
 def checkpoint_bytes(model: Forecaster) -> bytes:
@@ -108,8 +97,8 @@ def load_checkpoint(path: str) -> Forecaster:
     other layers or a ledger that does not fit the model raises
     ``CheckpointFormatError``.
 
-    The file streams through once: each tensor is read straight into the
-    model's array, the CRC32 taken over the bytes read. The payload length
+    The file streams through once: the payload is read straight into the
+    model's ``params``, the CRC32 taken over the bytes read. The payload length
     follows from the file size (so a pipe cannot be read), and it is checked
     before the model is built (``seed=None``, no draw): a config far larger
     than the file allocates nothing. A CRC32 mismatch outranks every header
@@ -214,10 +203,9 @@ def _read(path: str, f: BinaryIO, size: int) -> Forecaster:
             crc = _read_exact(path, f, buf[:payload_len - lo], crc)
         _check_crc(path, f, crc, cut=declared is not None and payload_len < declared)
         raise problem
-    for _, arr in model.named_params():
-        crc = _read_exact(path, f, memoryview(arr).cast("B"), crc)
-        if sys.byteorder == "big":
-            arr.byteswap(inplace=True)
+    crc = _read_exact(path, f, memoryview(model.params).cast("B"), crc)
+    if sys.byteorder == "big":
+        model.params.byteswap(inplace=True)
     _check_crc(path, f, crc, cut=False)
 
     linears = model.linears()

@@ -7,13 +7,16 @@ capture pass tiles each mask leaf to one row per window, so its gradient
 holds the per-sample mask gradients, and skips the heads and FFN channels
 whose mask gradients are exactly zero. An analysis capture keeps the
 intermediates of the sparsity diagnostics.
+
+Each weight, bias, gain and offset is a view of one float64 vector per
+model, ``params``, laid out in the checkpoint's payload order.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -43,12 +46,25 @@ FIELDS = {"layers": _SIZE, "heads": _SIZE, "d_model": _SIZE, "d_ffn": _SIZE,
 
 def config_problems(d, where: str = "model") -> list[str]:
     """The problems ``section_problems`` finds in a model section; once there
-    are none, a ``d_model`` not divisible by ``heads`` and a ``context_len``
-    not divisible by ``patch_len``."""
-    return section_problems(d, FIELDS, where) or [
+    are none, a ``d_model`` not divisible by ``heads``, a ``context_len`` not
+    divisible by ``patch_len``, or more parameter bytes than numpy indexes."""
+    problems = section_problems(d, FIELDS, where) or [
         f"{where}.{key}: {d[key]} is not divisible by {div}={d[div]}"
         for key, div in (("d_model", "heads"), ("context_len", "patch_len"))
         if d[key] % d[div]]
+    if not problems and 8 * (n := _counts(d)[0]) > sys.maxsize:
+        problems = [f"{where}: {n} parameters of 8 bytes are more than {sys.maxsize} bytes"]
+    return problems
+
+
+def _counts(d) -> tuple[int, int]:
+    """The parameters a valid model section ``d`` lays out, and the block
+    norms' gains and offsets among them."""
+    dm, f = d["d_model"], d["d_ffn"]
+    norm = d.get("norm", FIELDS["norm"].default)
+    norms = d["layers"] * 2 * (2 if norm == "layernorm" else 1) * dm
+    block = 4 * dm * dm + 2 * dm * f + 3 * dm + f
+    return (d["patch_len"] + 1) * dm + d["layers"] * block + (dm + 1) * d["horizon"] + norms, norms
 
 
 @dataclass
@@ -80,10 +96,12 @@ class ForecasterConfig:
     @property
     def param_count(self) -> int:
         """The exact number of weights, biases, gains and offsets the model lays out."""
-        d, f = self.d_model, self.d_ffn
-        norm = (2 if self.norm == "layernorm" else 1) * d
-        block = 4 * d * d + 2 * d * f + 3 * d + f + 2 * norm
-        return (self.patch_len + 1) * d + self.layers * block + (d + 1) * self.horizon
+        return _counts(vars(self))[0]
+
+    @property
+    def norm_param_count(self) -> int:
+        """The block norms' gains and offsets: the tail of every parameter vector."""
+        return _counts(vars(self))[1]
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in FIELDS}
@@ -118,11 +136,15 @@ class ForwardContext:
     ``Forecaster._capture_block``); their leaves are tiled at that width,
     and ``kept[layer_id]`` holds the master (input, output) channels they
     cover, None for a side kept whole.
+
+    A parameter leaf named in ``grads`` sums its gradient into that view.
     """
 
-    def __init__(self, tape: Tape | None = None, capture_grads: bool = False):
+    def __init__(self, tape: Tape | None = None, capture_grads: bool = False,
+                 grads: dict[str, np.ndarray] | None = None):
         self.tape = tape
         self.capture_grads = capture_grads and tape is not None
+        self.grads = grads or {}
         self.param_leaves: dict[str, Tensor] = {}
         self.mask_leaves: dict[str, tuple[Tensor, Tensor]] = {}
         self.kept: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
@@ -132,7 +154,7 @@ class ForwardContext:
             return ad.constant(array)
         leaf = self.param_leaves.get(name)
         if leaf is None:
-            leaf = self.tape.watch(array)
+            leaf = self.tape.watch(array, self.grads.get(name))
             self.param_leaves[name] = leaf
         return leaf
 
@@ -222,36 +244,31 @@ class MaskedLinear:
 class NormParams:
     """LayerNorm (gain+offset) or RMSNorm (gain only) over the model dim."""
 
-    def __init__(self, name: str, kind: str, d: int, eps: float = NORM_EPS):
+    def __init__(self, name: str, kind: str, d: int, carve: Callable[..., np.ndarray]):
         self.name = name
         self.kind = kind
-        self.eps = eps
-        self.gain = np.ones(d)
-        self.offset = np.zeros(d) if kind == "layernorm" else None
+        self.gain = carve(f"{name}.gain", d)
+        self.gain[...] = 1.0
+        self.offset = carve(f"{name}.offset", d) if kind == "layernorm" else None
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         gain = ctx.lift(f"{self.name}.gain", self.gain)
         if self.kind == "layernorm":
             return ad.layer_norm(x, gain, ctx.lift(f"{self.name}.offset", self.offset),
-                                 self.eps)
-        return ad.rms_norm(x, gain, self.eps)
-
-    def param_count(self) -> int:
-        return self.gain.size + (0 if self.offset is None else self.offset.size)
+                                 NORM_EPS)
+        return ad.rms_norm(x, gain, NORM_EPS)
 
 
 class Block:
-    def __init__(self, index: int, cfg: ForecasterConfig, draw: Callable[[int, int], np.ndarray]):
+    def __init__(self, index: int, cfg: ForecasterConfig, linear: Callable[..., MaskedLinear]):
         d, f = cfg.d_model, cfg.d_ffn
         prefix = f"block{index}"
-        self.wq = MaskedLinear(f"{prefix}.attn.q", draw(d, d), None)
-        self.wk = MaskedLinear(f"{prefix}.attn.k", draw(d, d), None)
-        self.wv = MaskedLinear(f"{prefix}.attn.v", draw(d, d), np.zeros(d))
-        self.wo = MaskedLinear(f"{prefix}.attn.o", draw(d, d), np.zeros(d))
-        self.norm1 = NormParams(f"{prefix}.norm1", cfg.norm, d)
-        self.norm2 = NormParams(f"{prefix}.norm2", cfg.norm, d)
-        self.ffn_up = MaskedLinear(f"{prefix}.ffn.up", draw(d, f), np.zeros(f))
-        self.ffn_down = MaskedLinear(f"{prefix}.ffn.down", draw(f, d), np.zeros(d))
+        self.wq = linear(f"{prefix}.attn.q", d, d, bias=False)
+        self.wk = linear(f"{prefix}.attn.k", d, d, bias=False)
+        self.wv = linear(f"{prefix}.attn.v", d, d)
+        self.wo = linear(f"{prefix}.attn.o", d, d)
+        self.ffn_up = linear(f"{prefix}.ffn.up", d, f)
+        self.ffn_down = linear(f"{prefix}.ffn.down", f, d)
         self.linears = (self.wq, self.wk, self.wv, self.wo, self.ffn_up, self.ffn_down)
         self.head_count = cfg.heads
 
@@ -310,9 +327,12 @@ class ForwardPass:
 
 
 class ForecasterBase:
-    """The one forward of the masked model and its sliced twin.
+    """The one forward and parameter layout of the masked model and its twin.
 
-    A subclass holds ``cfg``, ``embed``, ``blocks`` and ``head``. Each block
+    A subclass holds ``cfg``, ``params``, ``layout``, ``embed``, ``blocks``
+    and ``head``. Every weight, bias, gain and offset is a view of the
+    vector ``params`` that ``carve`` handed out, and ``layout`` lists each
+    one's (name, offset, shape); the block norms come last. Each block
     holds ``norm1``, ``norm2``, its six linear layers in ``linears`` (Q, K,
     V, O, FFN up, FFN down) and ``head_count``, the number of heads its Q/K/V
     outputs lay side by side. Every linear layer has ``forward(x, ctx)``:
@@ -328,18 +348,28 @@ class ForecasterBase:
     def norms(self) -> list[NormParams]:
         return [norm for b in self.blocks for norm in (b.norm1, b.norm2)]
 
+    def carve(self, name: str, *shape: int) -> np.ndarray:
+        """The next elements of ``params`` as a view of ``shape``, listed in ``layout``."""
+        lo = self.layout[-1][1] + math.prod(self.layout[-1][2]) if self.layout else 0
+        self.layout.append((name, lo, shape))
+        return self.params[lo:lo + math.prod(shape)].reshape(shape)
+
+    def views(self, vector: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """Each parameter's (name, view) of a vector laid out as ``params``."""
+        return [(name, vector[lo:lo + math.prod(shape)].reshape(shape))
+                for name, lo, shape in self.layout]
+
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        """Mutable parameter arrays, deterministic order; masks excluded."""
-        out = []
-        for layer in self.linears():
-            out.append((f"{layer.layer_id}.w", layer.w))
-            if layer.b is not None:
-                out.append((f"{layer.layer_id}.b", layer.b))
-        for norm in self.norms():
-            out.append((f"{norm.name}.gain", norm.gain))
-            if norm.offset is not None:
-                out.append((f"{norm.name}.offset", norm.offset))
-        return out
+        """Every weight, bias, gain and offset as a view of ``params``, in
+        ``layout`` order, the checkpoint's payload order; masks excluded."""
+        return self.views(self.params)
+
+    def surviving_param_count(self) -> int:
+        """The parameters the masks keep; a sliced twin counts its master's."""
+        return sum(l.surviving_weights() for l in self.linears()) + self.cfg.norm_param_count
+
+    def param_fraction(self) -> float:
+        return self.surviving_param_count() / self.cfg.param_count
 
     def normalize_windows(self, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-window instance normalization with a std floor."""
@@ -426,65 +456,57 @@ class ForecasterBase:
 class Forecaster(ForecasterBase):
     """Stack of pre-norm transformer blocks over patch tokens.
 
-    With a seed, every weight matrix is drawn from N(0, 1/√d_in), in the
-    order embed, per block Q, K, V, O, FFN up, FFN down, head. With
-    ``seed=None`` the weights are zeros and nothing is drawn: the model is
-    a layout for ``load_checkpoint`` to fill. Biases and offsets start at
-    zero, gains and masks at one.
+    ``params`` is allocated first, so a model too large to hold fails at
+    that one allocation. Its views are carved in the order embed, per block
+    Q, K, V, O, FFN up, FFN down, head, then the norms. With a seed, every
+    weight matrix is drawn from N(0, 1/√d_in) into its view in that order.
+    With ``seed=None`` nothing is drawn: the model is a layout for
+    ``load_checkpoint`` to fill. Biases and offsets start at zero, gains
+    and masks at one.
     """
 
     def __init__(self, cfg: ForecasterConfig, seed: int | None = 0):
         self.cfg = cfg
+        self.params, self.layout = np.zeros(cfg.param_count), []
         rng = None if seed is None else np.random.default_rng(seed)
 
-        def draw(d_in: int, d_out: int) -> np.ndarray:
-            if rng is None:
-                return np.zeros((d_in, d_out))
-            return rng.normal(0, 1.0 / math.sqrt(d_in), (d_in, d_out))
+        def linear(layer_id: str, d_in: int, d_out: int, bias: bool = True) -> MaskedLinear:
+            w = self.carve(f"{layer_id}.w", d_in, d_out)
+            if rng is not None:  # the bits of rng.normal(0, std), drawn in place
+                rng.standard_normal(out=w)
+                w *= 1.0 / math.sqrt(d_in)
+            return MaskedLinear(layer_id, w, self.carve(f"{layer_id}.b", d_out) if bias else None)
 
-        self.embed = MaskedLinear("embed", draw(cfg.patch_len, cfg.d_model),
-                                  np.zeros(cfg.d_model))
-        self.blocks = [Block(i, cfg, draw) for i in range(cfg.layers)]
-        self.head = MaskedLinear("head", draw(cfg.d_model, cfg.horizon), np.zeros(cfg.horizon))
+        self.embed = linear("embed", cfg.patch_len, cfg.d_model)
+        self.blocks = [Block(i, cfg, linear) for i in range(cfg.layers)]
+        self.head = linear("head", cfg.d_model, cfg.horizon)
+        for i, block in enumerate(self.blocks):
+            block.norm1, block.norm2 = (NormParams(f"block{i}.norm{j}", cfg.norm, cfg.d_model,
+                                                   self.carve) for j in (1, 2))
         self.ledger = None  # attached by the pruner; serialized with checkpoints
 
     # ------------------------------------------------------------------ layout
-
-    def layer_by_id(self, layer_id: str) -> MaskedLinear:
-        for layer in self.linears():
-            if layer.layer_id == layer_id:
-                return layer
-        raise KeyError(layer_id)
 
     def head_group(self, head: int) -> slice:
         d_h = self.cfg.head_dim
         return slice(head * d_h, (head + 1) * d_h)
 
-    def total_param_count(self) -> int:
-        return self.cfg.param_count
-
-    def surviving_param_count(self) -> int:
-        n = sum(l.surviving_weights() for l in self.linears())
-        return n + sum(norm.param_count() for norm in self.norms())
-
-    def param_fraction(self) -> float:
-        return self.surviving_param_count() / self.total_param_count()
-
     # ----------------------------------------------------------------- forward
 
     def forward_batch(self, windows: np.ndarray, tape: Tape | None = None,
-                      capture_grads: bool = False,
-                      analysis: bool = False) -> ForwardPass:
+                      capture_grads: bool = False, analysis: bool = False,
+                      grads: dict[str, np.ndarray] | None = None) -> ForwardPass:
         """Forward a (B, L) batch of context windows.
 
         Returns normalized-scale predictions; de-normalization stats ride
-        along. With a tape, every parameter and mask becomes a watched leaf;
-        with ``capture_grads`` as well, only the masks are, each tiled to
-        one row per window (see ``ForwardContext``), and each block runs
-        narrowed by ``_capture_block``. An analysis capture reads every
+        along. With a tape, every parameter and mask becomes a watched leaf,
+        and a parameter named in ``grads`` sums its gradient into that view
+        (see ``ForwardContext``); with ``capture_grads`` as well, only the
+        masks are leaves, each tiled to one row per window, and each block
+        runs narrowed by ``_capture_block``. An analysis capture reads every
         head, so it keeps the full-width blocks.
         """
-        ctx = ForwardContext(tape, capture_grads)
+        ctx = ForwardContext(tape, capture_grads, grads)
         blocks = None
         if ctx.capture_grads and not analysis:
             blocks = [self._capture_block(block, ctx) for block in self.blocks]
@@ -545,4 +567,9 @@ class Forecaster(ForecasterBase):
 
     def clone(self) -> "Forecaster":
         """A copy of the parameters and masks that shares no array; no ledger."""
-        return copy.deepcopy(self, {id(self.ledger): None})
+        twin = Forecaster(self.cfg, seed=None)
+        twin.params[...] = self.params
+        for mine, theirs in zip(self.linears(), twin.linears()):
+            theirs.m_in[...] = mine.m_in
+            theirs.m_out[...] = mine.m_out
+        return twin

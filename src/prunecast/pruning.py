@@ -26,7 +26,7 @@ from .autodiff import Tape
 from .data import WindowSet
 from .errors import ConfigError, Field, PruneDivergedError, require
 from .model import Forecaster
-from .training import batch_loss
+
 
 @dataclass(frozen=True, order=True)
 class ChannelRef:
@@ -428,18 +428,3 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
                 kill(block.ffn_down, "input", c)
     return pruned
 
-
-def oracle_importance(model: Forecaster, windows: WindowSet,
-                      ref: ChannelRef) -> float:
-    """Brute-force importance: |L(mask with channel zeroed) − L(mask)|."""
-    contexts, targets = windows.contexts, windows.targets
-    layer = model.layer_by_id(ref.layer_id)
-    mask = layer.m_in if ref.side == "input" else layer.m_out
-    base = batch_loss(model, contexts, targets)[0]
-    saved = mask[ref.index]
-    mask[ref.index] = 0.0
-    try:
-        flipped = batch_loss(model, contexts, targets)[0]
-    finally:
-        mask[ref.index] = saved
-    return abs(flipped - base)

@@ -10,22 +10,25 @@ the block's widest one; a pad meets a zero across its product, so its
 gradient is exactly zero. A head whose V-output ∩ W_O-input intersection
 is empty gets no columns.
 
-The sliced twin therefore runs ``ForecasterBase``'s forward, the same
-attention and FFN code as the masked model. It is the only model that
-trains: ``training.finetune`` slices a masked forecaster, trains the twin
-and writes it back, so pruned coordinates never enter the tape.
+The twin works out every layer's layout, then sizes its parameter vector,
+pads included, and gathers each weight into its view; the norms, the tail
+of both vectors, are one slice. The sliced twin runs ``ForecasterBase``'s
+forward, the same attention and FFN code as the masked model. It is the
+only model that trains: ``training.finetune`` slices a masked forecaster,
+trains the twin and writes it back, so pruned coordinates never enter the
+tape.
 """
 
 from __future__ import annotations
 
-import copy
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .model import (Block, Forecaster, ForecasterBase, ForecasterConfig,
-                    ForwardContext, ForwardPass, MaskedLinear)
+                    ForwardContext, ForwardPass, MaskedLinear, NormParams)
 
 
 def require_binary(layer: MaskedLinear) -> None:
@@ -52,7 +55,7 @@ class SlicedLinear:
     the surviving channels: the layer gathers its input from full width
     and scatters its output back to ``width``, the full output width.
     ``SlicedBlock`` passes the layouts of the layers that meet inside it,
-    which read and write them as they are.
+    which read and write them as they are. ``gather`` stores the weight.
     """
 
     def __init__(self, layer: MaskedLinear, rows: np.ndarray | None = None,
@@ -64,11 +67,18 @@ class SlicedLinear:
         self.rows = self.in_idx if rows is None else rows
         self.cols = self.out_idx if cols is None else cols
         self.width = layer.d_out if cols is None else self.cols.size
+
+    def gather(self, layer: MaskedLinear, carve: Callable[..., np.ndarray]) -> None:
+        """Take ``w`` and ``b`` from ``carve`` and fill them from ``layer``."""
+        self.w = carve(f"{self.layer_id}.w", self.rows.size, self.cols.size)
         # a -1 reads the last master row or column, zeroed just below
-        self.w = layer.w[np.ix_(self.rows, self.cols)]
+        self.w[...] = layer.w[np.ix_(self.rows, self.cols)]
         self.w[self.rows < 0] = 0.0
         self.w[:, self.cols < 0] = 0.0
-        self.b = None if layer.b is None else np.where(self.cols < 0, 0.0, layer.b[self.cols])
+        self.b = None
+        if layer.b is not None:
+            self.b = carve(f"{self.layer_id}.b", self.cols.size)
+            self.b[...] = np.where(self.cols < 0, 0.0, layer.b[self.cols])
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.shape[-1] != self.rows.size:
@@ -139,8 +149,6 @@ class SlicedBlock:
         self.up = SlicedLinear(block.ffn_up, cols=mid)
         self.down = SlicedLinear(block.ffn_down, rows=mid)
         self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
-        self.norm1 = copy.deepcopy(block.norm1)
-        self.norm2 = copy.deepcopy(block.norm2)
         self.mid_up_pos = _positions(self.up.out_idx, mid)
         self.mid_down_pos = _positions(self.down.in_idx, mid)
 
@@ -160,30 +168,34 @@ class SlicedForecaster(ForecasterBase):
     """
 
     def __init__(self, model: Forecaster):
-        self.cfg = model.cfg
+        self.cfg = cfg = model.cfg
         self.embed = SlicedLinear(model.embed)
-        self.blocks = [SlicedBlock(b, model.cfg) for b in model.blocks]
+        self.blocks = [SlicedBlock(b, cfg) for b in model.blocks]
         self.head = SlicedLinear(model.head)
-
-    def param_count(self) -> int:
-        n = sum(l.surviving_weights() for l in self.linears())
-        return n + sum(norm.param_count() for norm in self.norms())
-
-    def param_fraction(self) -> float:
-        return self.param_count() / self.cfg.param_count
+        pairs = list(zip(self.linears(), model.linears()))
+        self.params = np.zeros(sum(c.rows.size * c.cols.size + (0 if m.b is None else c.cols.size)
+                                   for c, m in pairs) + cfg.norm_param_count)
+        self.layout = []
+        for compact, master in pairs:
+            compact.gather(master, self.carve)
+        for block, master in zip(self.blocks, model.blocks):
+            block.norm1, block.norm2 = (NormParams(norm.name, cfg.norm, cfg.d_model, self.carve)
+                                        for norm in (master.norm1, master.norm2))
+        norms = slice(-cfg.norm_param_count, None)
+        self.params[norms] = model.params[norms]
 
     def write_back(self, model: Forecaster) -> None:
         """Copy trained compact weights into the full-size master model."""
         for compact, master in zip(self.linears(), model.linears()):
             compact.write_back(master)
-        for twin, master in zip(self.norms(), model.norms()):
-            master.gain[...] = twin.gain
-            if master.offset is not None:
-                master.offset[...] = twin.offset
+        norms = slice(-self.cfg.norm_param_count, None)
+        model.params[norms] = self.params[norms]
 
-    def forward_batch(self, windows: np.ndarray, tape: Tape | None = None) -> ForwardPass:
-        """Forward a (B, L) batch of context windows through the compact weights."""
-        return self._forward(windows, ForwardContext(tape), None)
+    def forward_batch(self, windows: np.ndarray, tape: Tape | None = None,
+                      grads: dict[str, np.ndarray] | None = None) -> ForwardPass:
+        """Forward a (B, L) batch of context windows through the compact
+        weights; ``grads`` as in ``Forecaster.forward_batch``."""
+        return self._forward(windows, ForwardContext(tape, grads=grads), None)
 
 
 def slice_pruned(model: Forecaster) -> SlicedForecaster:

@@ -64,14 +64,15 @@ class EvalReport:
                 "n_windows": self.n_windows}
 
 
+# Both optimizers step a parameter vector along its gradient vector in
+# blocks of ad.POOL_MIN elements, so that no temporary is larger than one.
 class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: list[tuple[str, np.ndarray]],
-             grads: dict[str, np.ndarray]) -> None:
-        for name, arr in params:
-            arr -= self.lr * grads[name]
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        for lo in range(0, params.size, ad.POOL_MIN):
+            params[lo:lo + ad.POOL_MIN] -= self.lr * grad[lo:lo + ad.POOL_MIN]
 
 
 class Adam:
@@ -82,52 +83,36 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None  # the moments, laid out as the parameters
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[tuple[str, np.ndarray]],
-             grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, arr in params:
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(arr))
-            v = self.v.setdefault(name, np.zeros_like(arr))
+        for lo in range(0, params.size, ad.POOL_MIN):
+            blk = slice(lo, lo + ad.POOL_MIN)
+            g, m, v = grad[blk], self.m[blk], self.v[blk]
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
-            arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            params[blk] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def make_optimizer(cfg: TrainConfig):
     return Sgd(cfg.lr) if cfg.optimizer == "sgd" else Adam(cfg.lr)
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-
-
 def batch_loss(model, contexts: np.ndarray, targets: np.ndarray,
-               tape: Tape | None = None):
-    """Instance-normalized MSE over one batch; tape-attached when training."""
-    fp = model.forward_batch(contexts, tape=tape)
+               tape: Tape | None = None, grads: dict[str, np.ndarray] | None = None):
+    """Instance-normalized MSE over one batch; tape-attached when training,
+    with each parameter's gradient summed into its view in ``grads``."""
+    fp = model.forward_batch(contexts, tape=tape, grads=grads)
     t_norm = fp.normalized_targets(targets)
     if tape is None:
         return float(((fp.pred_norm.data - t_norm) ** 2).mean()), fp
     return ad.mse_loss(fp.pred_norm, ad.constant(t_norm)), fp
-
-
-def _snapshot(model) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in model.named_params()}
-
-
-def _restore(model, snap: dict[str, np.ndarray]) -> None:
-    for name, arr in model.named_params():
-        arr[...] = snap[name]
 
 
 def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
@@ -139,6 +124,9 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
     restored to its best snapshot and written back, so only surviving
     coordinates change and pruned ones keep their bits. With
     ``update_norm_params`` off the norm gains and offsets stay frozen.
+    Each step sums the gradient into one vector laid out as ``params`` and
+    clips it to the global norm ``CLIP_NORM``, summed one parameter at a
+    time in the order the forward used them. The snapshot is one copy.
     """
     net = slicing.slice_pruned(model) if isinstance(model, Forecaster) else model
     optimizer = make_optimizer(cfg)
@@ -146,7 +134,9 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
     n = len(train_windows)
     history: list[dict] = []
     best_val = math.inf
-    best_snap = _snapshot(net)
+    best = net.params.copy()
+    grad = np.zeros_like(net.params)
+    views = dict(net.views(grad))
     bad_epochs = 0
 
     for epoch in range(cfg.max_epochs):
@@ -156,20 +146,19 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
             idx = order[b:b + cfg.batch_size]
             tape = Tape()
             loss, fp = batch_loss(net, train_windows.contexts[idx],
-                                  train_windows.targets[idx], tape=tape)
+                                  train_windows.targets[idx], tape=tape, grads=views)
             if not math.isfinite(loss.item()):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b // cfg.batch_size}, "
                     f"lr {cfg.lr}")
             tape.backward(loss)
-            grads = {name: tape.grad(leaf)
-                     for name, leaf in fp.ctx.param_leaves.items()}
             if not cfg.update_norm_params:
-                for name, g in grads.items():
-                    if name.endswith((".gain", ".offset")):
-                        g[...] = 0.0
-            _clip_global_norm(grads, CLIP_NORM)
-            optimizer.step(net.named_params(), grads)
+                grad[-net.cfg.norm_param_count:] = 0.0
+            total = math.sqrt(sum(float((g * g).sum())
+                                  for g in map(views.get, fp.ctx.param_leaves)))
+            if total > CLIP_NORM:
+                grad *= CLIP_NORM / total
+            optimizer.step(net.params, grad)
             losses.append(loss.item())
 
         val_mse = evaluate(net, val_windows).mse
@@ -177,14 +166,14 @@ def finetune(model, train_windows: WindowSet, val_windows: WindowSet,
                         "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse
-            best_snap = _snapshot(net)
+            best[...] = net.params
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    _restore(net, best_snap)
+    net.params[...] = best
     if net is not model:
         net.write_back(model)
     return model, history

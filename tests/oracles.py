@@ -1,7 +1,9 @@
-"""Shared oracles: central finite differences, tolerance helpers and planted
-dead channels."""
+"""Shared oracles: central finite differences, tolerance helpers, planted
+dead channels and brute-force channel importance."""
 
 import numpy as np
+
+from prunecast.training import batch_loss
 
 
 def central_diff(f, arrays, which, h=1e-5):
@@ -59,3 +61,25 @@ def plant_dead_head(model, block_idx, head):
     g = model.head_group(head)
     block.wv.w[:, g] = 0.0
     block.wv.b[g] = 0.0
+
+
+def layer_by_id(model, layer_id):
+    for layer in model.linears():
+        if layer.layer_id == layer_id:
+            return layer
+    raise KeyError(layer_id)
+
+
+def oracle_importance(model, windows, ref):
+    """Brute-force importance: |L(mask with channel zeroed) − L(mask)|."""
+    contexts, targets = windows.contexts, windows.targets
+    layer = layer_by_id(model, ref.layer_id)
+    mask = layer.m_in if ref.side == "input" else layer.m_out
+    base = batch_loss(model, contexts, targets)[0]
+    saved = mask[ref.index]
+    mask[ref.index] = 0.0
+    try:
+        flipped = batch_loss(model, contexts, targets)[0]
+    finally:
+        mask[ref.index] = saved
+    return abs(flipped - base)

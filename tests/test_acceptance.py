@@ -18,15 +18,14 @@ from prunecast import autodiff as ad
 from prunecast.autodiff import Tape
 from prunecast.data import SplitSpec, make_windows, synth_dataset
 from prunecast.model import Forecaster, ForecasterConfig, ForwardContext, MaskedLinear
-from prunecast.pruning import (ChannelRef, ImportanceLedger, PruneSchedule,
-                               oracle_importance, per_sample_grads,
+from prunecast.pruning import (ChannelRef, ImportanceLedger, PruneSchedule, per_sample_grads,
                                progressive_prune, prune_stat, raw_importance,
                                taylor2_importance)
 from prunecast.slicing import slice_pruned
 from prunecast.training import TrainConfig, evaluate, finetune
 from prunecast.analysis import collect_activation_probs, collect_head_norms
 
-from oracles import assert_grads_close, plant_dead_ffn_channels, \
+from oracles import assert_grads_close, oracle_importance, plant_dead_ffn_channels, \
     plant_dead_head
 from test_slicing import brute_force_surviving, prune_random_channels
 
@@ -121,8 +120,8 @@ def test_03_slicing_exactness():
         print(f"  max |masked - sliced| over 100 windows: {gap:.2e}")
         assert gap <= 1e-9
         surviving = brute_force_surviving(model)
-        assert sliced.param_count() == surviving
-        assert sliced.param_fraction() == surviving / model.total_param_count()
+        assert sliced.surviving_param_count() == surviving
+        assert sliced.param_fraction() == surviving / model.cfg.param_count
 
 
 def test_04_taylor2_quadratic_exactness():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tracemalloc
 import zlib
 
@@ -182,6 +183,8 @@ HEADER_EDITS = {
     "config-non-positive": (_set(["config", "heads"], 0), "heads: must be an int >= 1, got 0"),
     "config-mistyped": (_set(["config", "d_model"], "8"), "d_model: expected an int, got str"),
     "config-bool": (_set(["config", "layers"], True), "layers: expected an int, got bool"),
+    "config-too-large": (_set(["config", "d_model"], 2 ** 62),
+                         f"parameters of 8 bytes are more than {sys.maxsize} bytes"),
     "config-unknown-key": (_set(["config", "width"], 3), "width: unknown key"),
     "config-missing-key": (_drop(["config", "horizon"]), "horizon: missing"),
     "config-not-object": (_set(["config"], [1, 2]), "config: expected an object, got list"),

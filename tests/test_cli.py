@@ -17,10 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prunecast
+from prunecast.checkpoint import save_checkpoint
 from prunecast.cli import config_hash, load_config, main, validate_config
 from prunecast.data import SplitSpec, synth_dataset
 from prunecast.errors import ConfigError, Field, section_problems
-from prunecast.model import ForecasterConfig
+from prunecast.model import Forecaster, ForecasterConfig
 from prunecast.pruning import ImportanceLedger, PruneSchedule, prune_stat
 from prunecast.training import TrainConfig
 
@@ -226,6 +227,7 @@ class TestConfigValidation:
          f"data.synth.n_points: must be an int within ±{sys.maxsize}, got {10 ** 40}"),
         (["model", "layers"], 10 ** 30,
          f"model.layers: must be an int within ±{sys.maxsize}, got {10 ** 30}"),
+        (["model", "d_model"], 2 ** 62, f"bytes are more than {sys.maxsize} bytes"),
     ])
     def test_bad_value_fails_before_any_work(self, tmp_path, capsys, path, value, needle):
         cfg = base_config(tmp_path / "out", seed="three")
@@ -312,6 +314,18 @@ class TestConfigValidation:
         rc = main(["pretrain", "--config", write_config(tmp_path, base_config(tmp_path / "out"))])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_model_too_large_to_allocate_fails_closed(self, tmp_path, capsys):
+        """Several PiB of parameters are more than any address space a process
+        maps, so the one allocation of the parameter vector fails before a
+        page is touched, whatever the overcommit mode."""
+        cfg = base_config(tmp_path / "out")
+        cfg["model"].update(layers=10 ** 11, d_model=32)
+        rc = main(["pretrain", "--config", write_config(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_thread_cap_is_exported_before_numpy_loads(self, tmp_path):
@@ -717,9 +731,14 @@ class TestCompareRuns:
     def test_differing_and_one_sided_files_listed(self, tmp_path, capsys):
         a = self.make_tree(tmp_path / "a", {"x/r.json": "1", "only_a.csv": "", "same": "s"})
         b = self.make_tree(tmp_path / "b", {"x/r.json": "2", "same": "s"})
+        model = Forecaster(ForecasterConfig(**PINNED_MODEL), seed=1)
+        save_checkpoint(model, str(a / "m.ckpt"))
+        model.head.b[1] += 0.25
+        save_checkpoint(model, str(b / "m.ckpt"))
         assert _compare_runs().main([str(a), str(b)]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert out == [f"only_a.csv (only in {a})", "x/r.json"]
+        assert out == ["m.ckpt (masks match, max |Δ params| 0.25)",
+                       f"only_a.csv (only in {a})", "x/r.json"]
 
 
 # Drawn values stay small: no example builds a large table. Strings come

@@ -13,14 +13,14 @@ from prunecast.data import WindowSet, synth_dataset, make_windows, SplitSpec
 from prunecast.errors import ConfigError, PrunecastError, PruneDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
 from prunecast.pruning import (ChannelRef, ImportanceLedger, PerSampleGrads,
-                               PruneSchedule, ema_update,
-                               oracle_importance, per_sample_grads,
+                               PruneSchedule, ema_update, per_sample_grads,
                                progressive_prune, prune_stat, prune_step,
                                raw_importance, taylor2_importance)
 from prunecast.slicing import slice_pruned
 from prunecast.training import TrainConfig, finetune
 
-from oracles import assert_grads_close, plant_dead_ffn_channels, plant_dead_head
+from oracles import (assert_grads_close, layer_by_id, oracle_importance,
+                     plant_dead_ffn_channels, plant_dead_head)
 from test_model import tiny_config
 
 
@@ -156,7 +156,7 @@ class TestPerSampleGrads:
         for n in range(2):
             ctx1, tgt1 = ws.contexts[n:n + 1], ws.targets[n:n + 1]
             for ref in probe:
-                layer = model.layer_by_id(ref.layer_id)
+                layer = layer_by_id(model, ref.layer_id)
                 mask = layer.m_in if ref.side == "input" else layer.m_out
 
                 def loss_at(v):
@@ -480,7 +480,7 @@ class TestLedgerIndexArrays:
         assert pruned == expected
         for ref in pruned:
             assert not ledger.alive[position[ref]]
-            layer = model.layer_by_id(ref.layer_id)
+            layer = layer_by_id(model, ref.layer_id)
             assert (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] == 0.0
 
     def test_refs_rank_and_protected_follow_the_layout(self, eleven_blocks):
@@ -663,7 +663,7 @@ class TestProgressive:
         alive = [r.alive_count for r in trace.records]
         assert all(a >= b for a, b in zip(alive, alive[1:]))
         for ref in trace.pruned_refs():
-            layer = model.layer_by_id(ref.layer_id)
+            layer = layer_by_id(model, ref.layer_id)
             mask = layer.m_in if ref.side == "input" else layer.m_out
             assert mask[ref.index] == 0.0
         assert (ledger.ema >= 0).all()

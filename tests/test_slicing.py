@@ -30,7 +30,7 @@ def brute_force_surviving(model):
         if layer.b is not None:
             n += int(layer.m_out.sum())
     for norm in model.norms():
-        n += norm.param_count()
+        n += norm.gain.size + (0 if norm.offset is None else norm.offset.size)
     return n
 
 
@@ -60,7 +60,7 @@ class TestSlicing:
             for seed in range(5):
                 model = Forecaster(cfg, seed=seed)
                 sliced = slice_pruned(model)
-                assert sliced.param_count() == model.total_param_count()
+                assert sliced.surviving_param_count() == model.cfg.param_count
                 for batch in (1, 4):
                     windows = rng.normal(0, 1, (batch, cfg.context_len))
                     np.testing.assert_array_equal(
@@ -98,9 +98,9 @@ class TestSlicing:
         prune_random_channels(model, 0.4, rng)
         sliced = slice_pruned(model)
         expected = brute_force_surviving(model)
-        assert sliced.param_count() == expected
+        assert sliced.surviving_param_count() == expected
         assert model.surviving_param_count() == expected
-        assert sliced.param_fraction() == expected / model.total_param_count()
+        assert sliced.param_fraction() == expected / model.cfg.param_count
 
     def test_dead_head_is_removed_but_exact(self, rng):
         model = Forecaster(tiny_config(layers=1, heads=2, d_model=8), seed=6)
@@ -365,7 +365,7 @@ class TestModelContract:
         windows = rng.normal(0, 1, (3, cfg.context_len))
         sliced = slice_pruned(model)
         assert np.abs(sliced.predict(windows) - model.predict(windows)).max() <= 1e-9
-        assert sliced.param_count() == model.surviving_param_count() \
+        assert sliced.surviving_param_count() == model.surviving_param_count() \
             == brute_force_surviving(model)
         assert cfg.param_count == sum(a.size for _, a in model.named_params())
 

@@ -1,17 +1,19 @@
 """Trainer tests: convergence oracle, grad freezing, metrics, early stop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from prunecast import autodiff as ad
+from prunecast.checkpoint import load_checkpoint, save_checkpoint, tensor_index
 from prunecast.data import WindowSet
 from prunecast.errors import ConfigError, TrainingDivergedError
 from prunecast.model import Forecaster, ForwardContext, MaskedLinear
 from prunecast.pruning import PruneSchedule, progressive_prune
 from prunecast.slicing import slice_pruned
-from prunecast.training import (CLIP_NORM, Sgd, TrainConfig, _clip_global_norm,
-                                batch_loss, bench_inference, evaluate, finetune,
-                                make_optimizer)
+from prunecast.training import (CLIP_NORM, Sgd, TrainConfig, batch_loss, bench_inference,
+                                evaluate, finetune, make_optimizer)
 
 from test_model import tiny_config
 from test_pruning import training_windows
@@ -32,7 +34,9 @@ def masked_tape_finetune(model, train, val, cfg):
     optimizer = make_optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
     history, best_val, bad_epochs = [], np.inf, 0
-    best = {name: arr.copy() for name, arr in model.named_params()}
+    best = model.params.copy()
+    grad = np.zeros_like(model.params)
+    grads = dict(model.views(grad))
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train))
         losses = []
@@ -41,7 +45,8 @@ def masked_tape_finetune(model, train, val, cfg):
             tape = ad.Tape()
             loss, fp = batch_loss(model, train.contexts[idx], train.targets[idx], tape=tape)
             tape.backward(loss)
-            grads = {name: tape.grad(leaf) for name, leaf in fp.ctx.param_leaves.items()}
+            for name, leaf in fp.ctx.param_leaves.items():
+                grads[name][...] = tape.grad(leaf)
             for layer in model.linears():
                 grads[f"{layer.layer_id}.w"] *= np.outer(layer.m_in, layer.m_out)
                 if layer.b is not None:
@@ -50,40 +55,91 @@ def masked_tape_finetune(model, train, val, cfg):
                 for name in grads:
                     if name.endswith((".gain", ".offset")):
                         grads[name][...] = 0.0
-            _clip_global_norm(grads, CLIP_NORM)
-            optimizer.step(model.named_params(), grads)
+            total = math.sqrt(sum(float((g * g).sum())
+                                  for g in map(grads.get, fp.ctx.param_leaves)))
+            if total > CLIP_NORM:
+                grad *= CLIP_NORM / total
+            optimizer.step(model.params, grad)
             losses.append(loss.item())
         val_mse = evaluate(model, val).mse
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
                         "val_mse": val_mse})
         if val_mse < best_val:
             best_val, bad_epochs = val_mse, 0
-            best = {name: arr.copy() for name, arr in model.named_params()}
+            best = model.params.copy()
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    for name, arr in model.named_params():
-        arr[...] = best[name]
+    model.params[...] = best
     return model, history
+
+
+def assert_one_vector(model):
+    """Every weight, bias, gain and offset the model computes with is the
+    view of ``model.params`` at its ``tensor_index`` offset, and so is each
+    array ``named_params`` gives; together they cover the vector."""
+    used = {}
+    for layer in model.linears():
+        used[f"{layer.layer_id}.w"] = layer.w
+        if layer.b is not None:
+            used[f"{layer.layer_id}.b"] = layer.b
+    for norm in model.norms():
+        used[f"{norm.name}.gain"] = norm.gain
+        if norm.offset is not None:
+            used[f"{norm.name}.offset"] = norm.offset
+    index = tensor_index(model)
+    assert [spec["name"] for spec in index] == list(used)
+    start = model.params.__array_interface__["data"][0]
+    for spec, (name, view) in zip(index, model.named_params()):
+        for arr in (used[name], view):
+            assert np.shares_memory(arr, model.params), name
+            assert arr.__array_interface__["data"][0] - start == spec["offset"], name
+            assert arr.shape == tuple(spec["shape"]) and arr.flags.c_contiguous, name
+    assert index[-1]["offset"] + 8 * used[index[-1]["name"]].size == 8 * model.params.size
+
+
+class TestParameterVector:
+    def test_every_parameter_stays_a_view_of_params(self, tmp_path):
+        assert_one_vector(Forecaster(tiny_config(norm="rmsnorm"), seed=None))
+        model = Forecaster(tiny_config(), seed=5)
+        assert_one_vector(model)
+        ws = training_windows()
+        schedule = PruneSchedule(ratio_per_epoch=0.1, epochs=2, batch_size=64, seed=0)
+        progressive_prune(model, ws, schedule, alpha=0.5)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        assert_one_vector(load_checkpoint(path))
+        assert_one_vector(model.clone())
+        sliced = slice_pruned(model)
+        assert_one_vector(sliced)
+        assert has_pads(sliced) and sliced.params.size < model.params.size
+        train, val = split_windows(ws, 40)
+        cfg = TrainConfig(lr=1e-3, batch_size=64, max_epochs=1, seed=2)
+        before = model.params.copy()
+        finetune(model, train, val, cfg)  # slices, trains and writes back
+        assert_one_vector(model)
+        assert not np.array_equal(model.params, before)
+        finetune(sliced, train, val, cfg)
+        assert_one_vector(sliced)
 
 
 class TestOptimizers:
     def test_sgd_fits_two_x(self, rng):
         """Convex least-squares: one linear layer fitting y = 2x."""
-        layer = MaskedLinear("fit", np.array([[0.0]]), np.array([0.0]))
+        params, grad = np.zeros(2), np.zeros(2)
+        layer = MaskedLinear("fit", params[:1].reshape(1, 1), params[1:])
         x = rng.uniform(-1, 1, (16, 1))
         y = 2.0 * x
         opt = Sgd(lr=0.1)
         loss_val = None
         for _ in range(500):
             tape = ad.Tape()
-            ctx = ForwardContext(tape)
+            ctx = ForwardContext(tape, grads={"fit.w": grad[:1].reshape(1, 1), "fit.b": grad[1:]})
             pred = layer.forward(ad.constant(x), ctx)
             loss = ad.mse_loss(pred, ad.constant(y))
             tape.backward(loss)
-            grads = {name: tape.grad(leaf) for name, leaf in ctx.param_leaves.items()}
-            opt.step([("fit.w", layer.w), ("fit.b", layer.b)], grads)
+            opt.step(params, grad)
             loss_val = loss.item()
         assert loss_val < 1e-4
         assert abs(layer.w[0, 0] - 2.0) < 1e-2
