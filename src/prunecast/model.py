@@ -131,11 +131,9 @@ class ForwardContext:
     window: its gradient is a ⊙ ∂L/∂(a ⊙ m) per window and token, and no
     weight, bias or gain gradient is ever formed.
 
-    ``Forecaster.forward_batch`` runs the capture pass through layers
-    narrowed to the channels whose mask gradients can be nonzero (see
-    ``Forecaster._capture_block``); their leaves are tiled at that width,
-    and ``kept[layer_id]`` holds the master (input, output) channels they
-    cover, None for a side kept whole.
+    ``kept[layer_id]`` holds the master (input, output) channels of each
+    layer ``Forecaster._capture_block`` narrowed, None for a side kept
+    whole; its leaves are tiled at that width.
 
     A parameter leaf named in ``grads`` sums its gradient into that view.
     """
@@ -187,6 +185,10 @@ class MaskedLinear:
     @property
     def d_out(self) -> int:
         return self.w.shape[1]
+
+    def mask(self, side: str) -> np.ndarray:
+        """``m_in`` for side "input", ``m_out`` for "output"."""
+        return self.m_in if side == "input" else self.m_out
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         """(x ⊙ m_in) W + b, times m_out. With no tape the product runs in
@@ -260,6 +262,20 @@ class NormParams:
 
 
 class Block:
+    """One block's six masked layers and ``pairs``, its coupled channels.
+
+    Channel i at one (layer, side) end of a pair meets only channel i at the
+    other: Q-out and K-out per head in the scores, V-out and O-in per head
+    in context·W_O, FFN up-out and down-in through the activation (act(0) =
+    0). Dead at either end, a channel adds exactly 0 to its product and the
+    alive end's mask gradient is exactly 0; dead at both, both are. While
+    both ends are alive, Q/K and V/O have equal per-window mask gradients in
+    exact arithmetic (Σ q·∂L/∂q = Σ k·∂L/∂k; V reaches O only through
+    context column i), so they tie: the second end takes the first's score,
+    and rounding never decides which goes first. Under gelu up-out and
+    down-in differ, so that pair does not.
+    """
+
     def __init__(self, index: int, cfg: ForecasterConfig, linear: Callable[..., MaskedLinear]):
         d, f = cfg.d_model, cfg.d_ffn
         prefix = f"block{index}"
@@ -271,6 +287,16 @@ class Block:
         self.ffn_down = linear(f"{prefix}.ffn.down", f, d)
         self.linears = (self.wq, self.wk, self.wv, self.wo, self.ffn_up, self.ffn_down)
         self.head_count = cfg.heads
+        self.pairs = (((self.wq, "output"), (self.wk, "output"), True),
+                      ((self.wv, "output"), (self.wo, "input"), True),
+                      ((self.ffn_up, "output"), (self.ffn_down, "input"), False))
+
+    def coupled(self, join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+        """Per pair, its channels' alive flags at the two ends combined by
+        ``join``: ``np.logical_and`` gives the channels a product computes
+        through, ``np.logical_or`` those whose mask gradients can be nonzero."""
+        return [join(a.mask(a_side) != 0.0, b.mask(b_side) != 0.0)
+                for (a, a_side), (b, b_side), _ in self.pairs]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
@@ -513,23 +539,19 @@ class Forecaster(ForecasterBase):
         return self._forward(windows, ctx, AnalysisCapture() if analysis else None, blocks)
 
     def _capture_block(self, block: Block, ctx: ForwardContext):
-        """``block`` narrowed to the channels whose mask gradients can be nonzero.
-
-        A head whose V-out and O-in channels are all dead has context 0 and
-        passes back gradient 0, so it adds nothing to the forward and its
-        Q-out, K-out, V-out and O-in mask gradients are exactly 0. The same
-        holds for an FFN channel dead on up-out and down-in, since gelu(0) =
-        relu(0) = 0. Q, K and V keep the other heads' columns and O the
-        same rows, with one head of width 0 if none is left; FFN up keeps
-        the other channels' columns and down the same rows. The
-        residual-facing sides stay full width. Each narrowed layer's master
-        channels go to ``ctx.kept``; a block with nothing to skip is
-        returned as it is.
+        """``block`` narrowed to the channels whose mask gradients can be
+        nonzero: the unions of ``Block.coupled``. A head with no V/O channel
+        in the union has context 0 and passes back gradient 0, so its Q and
+        K mask gradients are 0 too. Q, K and V keep the other heads' columns
+        and O the same rows, with one head of width 0 if none is left; FFN
+        up keeps the union's columns and down the same rows. Each narrowed
+        layer's master channels go to ``ctx.kept``; a block with nothing to
+        skip is returned as it is.
         """
         q, k, v, o, up, down = block.linears
         d_h = self.cfg.head_dim
-        live = ((v.m_out != 0.0) | (o.m_in != 0.0)).reshape(-1, d_h).any(axis=1)
-        mid = np.flatnonzero((up.m_out != 0.0) | (down.m_in != 0.0))
+        _, vo, mid = block.coupled(np.logical_or)
+        live, mid = vo.reshape(-1, d_h).any(axis=1), np.flatnonzero(mid)
         if live.all() and mid.size == up.d_out:
             return block
 

@@ -5,8 +5,8 @@ The raw per-channel score over a batch of N windows is
     s_i = | -(1/N) Σ_n g_{n,i} + (1/2N) Σ_n g_{n,i}² |
 
 where g_{n,i} is the gradient of window n's loss w.r.t. mask coordinate i
-(the squared term standing in for the second derivative). Coupled
-channels share one score while both are alive (``COUPLED``). Scores are
+(the squared term standing in for the second derivative). Tied channels
+(``model.Block.pairs``) share one score while both are alive. Scores are
 smoothed by an EMA across batches and the globally lowest-scored alive
 channels are removed a few at a time until the schedule's target.
 """
@@ -40,14 +40,6 @@ class ChannelRef:
 
 PROTECTED = (("embed", "input"), ("head", "output"))  # I/O arity, never pruned
 
-# Coupled channels: while both are alive, their per-window mask gradients
-# are equal in exact arithmetic. Q-out i and K-out i meet in one score
-# product (Σ q·∂L/∂q = Σ k·∂L/∂k), and V-out i reaches O only through
-# context column i. Rounding alone would decide which is pruned first, so
-# each key's channel takes the score of the channel its value names.
-COUPLED = {("attn.k", "output"): ("attn.q", "output"),
-           ("attn.o", "input"): ("attn.v", "output")}
-
 FIELDS = {
     "variant": Field(str, "importance", ("importance", "stat", "stat_then_importance")),
     "ratio_per_epoch": Field(float, 0.1, "[0, 1]"),
@@ -68,8 +60,9 @@ class ImportanceLedger:
     order, and each group's channels sit at contiguous ledger positions, so
     all per-channel structure follows from the widths: the ``ChannelRef`` of
     a position, ``rank`` (each position's place in ``ChannelRef`` order, the
-    tie-break of ``prune_step``), the ``protected`` positions and the
-    ``COUPLED`` pairs (``tie_dst`` takes ``tie_src``'s score).
+    tie-break of ``prune_step``) and the ``protected`` positions. Built from
+    a layout alone it ties nothing; ``from_model`` ties the coupled pairs
+    of ``Block.pairs`` (``tie_dst`` takes ``tie_src``'s score).
     """
 
     def __init__(self, layout: list[tuple[str, str, int]], alpha: float):
@@ -87,23 +80,18 @@ class ImportanceLedger:
             [np.arange(self.starts[g], self.starts[g + 1]) for g in by_ref]))
         self.protected = np.flatnonzero(np.repeat(
             [(layer_id, side) in PROTECTED for layer_id, side, _ in layout], widths))
-        start = {(layer_id, side): s for (layer_id, side, _), s in zip(layout, self.starts)}
-        src, dst = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for (layer_id, side, width), s in zip(layout, self.starts):
-            block, _, name = layer_id.partition(".")
-            src_name, src_side = COUPLED.get((name, side), ("", ""))
-            source = start.get((f"{block}.{src_name}", src_side))
-            if source is not None:
-                src.append(source + np.arange(width))
-                dst.append(s + np.arange(width))
-        self.tie_src, self.tie_dst = np.concatenate(src), np.concatenate(dst)
+        self.tie_src = self.tie_dst = np.empty(0, np.intp)
 
     @classmethod
     def from_model(cls, model: Forecaster, alpha: float) -> "ImportanceLedger":
-        masks = [(layer.layer_id, side, mask) for layer in model.linears()
-                 for side, mask in (("input", layer.m_in), ("output", layer.m_out))]
-        ledger = cls([(layer_id, side, mask.size) for layer_id, side, mask in masks], alpha)
-        ledger.alive = np.concatenate([mask != 0.0 for _, _, mask in masks])
+        ends = [(layer, side) for layer in model.linears() for side in ("input", "output")]
+        ledger = cls([(layer.layer_id, side, layer.mask(side).size) for layer, side in ends],
+                     alpha)
+        ledger.alive = np.concatenate([layer.mask(side) != 0.0 for layer, side in ends])
+        span = dict(zip(ends, map(np.arange, ledger.starts, ledger.starts[1:])))
+        src, dst = zip(*[(span[a], span[b]) for block in model.blocks
+                         for a, b, tied in block.pairs if tied])
+        ledger.tie_src, ledger.tie_dst = np.concatenate(src), np.concatenate(dst)
         return ledger
 
     def ref(self, i: int) -> ChannelRef:
@@ -128,9 +116,8 @@ class ImportanceLedger:
         return np.flatnonzero(free)
 
     def tie(self, scores: np.ndarray) -> np.ndarray:
-        """``scores`` (in place) with each coupled channel given its
-        partner's score where both are alive. Where one is dead the scores
-        stay as computed: the alive one's gradient is then exactly 0."""
+        """``scores`` (in place), each ``tie_dst`` channel given its
+        ``tie_src`` partner's score where both are alive (``Block.pairs``)."""
         both = self.alive[self.tie_src] & self.alive[self.tie_dst]
         scores[self.tie_dst[both]] = scores[self.tie_src[both]]
         return scores
@@ -221,11 +208,11 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     gradient of that window's own loss, so
     g_{n,i} = N · Σ_tokens ∂L/∂m[n, t, i].
 
-    The capture pass skips dead heads and FFN channels dead on both sides
-    of the activation (``Forecaster._capture_block``), whose gradients are
-    exactly 0. A narrowed leaf's token sums are written into zeros at the
-    layer's full width, at the master channels ``ctx.kept`` names, so every
-    array is (N, width) and a skipped channel reads 0.0.
+    The capture pass skips channels whose gradients are exactly 0
+    (``Forecaster._capture_block``). A narrowed leaf's token sums are
+    written into zeros at the layer's full width, at the master channels
+    ``ctx.kept`` names, so every array is (N, width) and a skipped channel
+    reads 0.0.
     """
     contexts = np.atleast_2d(contexts)
     targets = np.atleast_2d(targets)
@@ -238,12 +225,11 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for layer in model.linears():
         kept = fp.ctx.kept.get(layer.layer_id, (None, None))
-        for side, leaf, idx, width in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id],
-                                          kept, (layer.d_in, layer.d_out)):
+        for side, leaf, idx in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id], kept):
             g = tape.grad(leaf)
             g = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
             if idx is not None:
-                full = np.zeros((n, width))
+                full = np.zeros((n, layer.mask(side).size))
                 full[:, idx] = g
                 g = full
             arrays[(layer.layer_id, side)] = g
@@ -305,7 +291,7 @@ def prune_step(ledger: ImportanceLedger, model: Forecaster, k: int) -> list[Chan
         ref = ledger.ref(i)
         ledger.alive[i] = False
         layer = layers[ref.layer_id]
-        (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] = 0.0
+        layer.mask(ref.side)[ref.index] = 0.0
         pruned.append(ref)
     return pruned
 
@@ -401,14 +387,14 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
 
     Heads whose mean relative output norm is below the threshold lose their
     W_O input group; FFN intermediate channels below the activation
-    threshold lose the up-output and down-input coordinates jointly.
+    threshold lose both ends of their coupled pair (``Block.pairs``).
     """
     require({"head_threshold": head_threshold, "act_threshold": act_threshold},
             FIELDS, "prune")
     pruned: list[ChannelRef] = []
 
     def kill(layer, side: str, index: int):
-        mask = layer.m_in if side == "input" else layer.m_out
+        mask = layer.mask(side)
         if mask[index] == 0.0:
             return
         mask[index] = 0.0
@@ -422,9 +408,10 @@ def prune_stat(model: Forecaster, head_stats, act_stats,
                 for i in range(g.start, g.stop):
                     kill(block.wo, "input", i)
         probs = act_stats[li].probabilities()
+        ffn_ends = block.pairs[2][:2]
         for c, p in enumerate(probs):
             if p < act_threshold:
-                kill(block.ffn_up, "output", c)
-                kill(block.ffn_down, "input", c)
+                for layer, side in ffn_ends:
+                    kill(layer, side, c)
     return pruned
 

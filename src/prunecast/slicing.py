@@ -2,13 +2,12 @@
 
 A sliced model skips the pruned compute. Each compact weight is built
 once, at slice time, in the layout its product runs. The residual-facing
-sides read and write the full model width. Where two sides meet in a
-product (Q·Kᵀ, context·W_O, activation·W_down) only the index
-intersection is stored; entries dead on either side contribute exactly
-zero. Q, K and V hold the live heads side by side, each zero-padded to
-the block's widest one; a pad meets a zero across its product, so its
-gradient is exactly zero. A head whose V-output ∩ W_O-input intersection
-is empty gets no columns.
+sides read and write the full model width. Of each coupled pair
+(``model.Block.pairs``) only the channels alive at both ends are stored.
+Q, K and V hold the live heads side by side, each zero-padded to the
+block's widest one; a pad meets a zero across its product, so its
+gradient is exactly zero. A head with no V/O channel alive at both ends
+gets no columns.
 
 The twin works out every layer's layout, then sizes its parameter vector,
 pads included, and gathers each weight into its view; the norms, the tail
@@ -102,24 +101,16 @@ class SlicedLinear:
 
 
 class _HeadPlan:
-    """The master channels one attention head computes through: ``qk``
-    where Q-out meets K-out, ``vo`` where V-out meets O-in."""
+    """A head's master channels ``qk`` and ``vo`` (``Block.pairs``) and their
+    positions among Q's and V's alive outputs and O's alive inputs."""
 
-    def __init__(self, group: slice, q_out: np.ndarray, k_out: np.ndarray,
-                 v_out: np.ndarray, o_in: np.ndarray):
-        lo, hi = group.start, group.stop
-
-        def in_group(idx):
-            return idx[(idx >= lo) & (idx < hi)]
-
-        self.qk = np.intersect1d(in_group(q_out), in_group(k_out))
-        self.vo = np.intersect1d(in_group(v_out), in_group(o_in))
-        self.q_pos = _positions(q_out, self.qk)
-        self.k_pos = _positions(k_out, self.qk)
-        self.v_pos = _positions(v_out, self.vo)
-        self.o_pos = _positions(o_in, self.vo)
-        self.alive = self.vo.size > 0
-        self.scored = self.qk.size > 0
+    def __init__(self, qk: np.ndarray, vo: np.ndarray, block: "SlicedBlock"):
+        self.qk, self.vo = qk, vo
+        self.q_pos = _positions(block.q.out_idx, qk)
+        self.v_pos = _positions(block.v.out_idx, vo)
+        self.o_pos = _positions(block.o.in_idx, vo)
+        self.alive = vo.size > 0
+        self.scored = qk.size > 0
 
 
 class SlicedBlock:
@@ -133,22 +124,20 @@ class SlicedBlock:
     """
 
     def __init__(self, block: Block, cfg: ForecasterConfig):
-        d_h = cfg.head_dim
-        q_out, k_out, v_out, o_in = (_alive(m) for m in (block.wq.m_out, block.wk.m_out,
-                                                         block.wv.m_out, block.wo.m_in))
-        self.heads = [_HeadPlan(slice(i * d_h, (i + 1) * d_h), q_out, k_out, v_out, o_in)
-                      for i in range(cfg.heads)]
-        live = [h for h in self.heads if h.alive]
+        qk, vo, mid = (np.flatnonzero(f) for f in block.coupled(np.logical_and))
+        bounds = np.arange(cfg.head_dim, cfg.d_model, cfg.head_dim)
+        qks, vos = (np.split(idx, np.searchsorted(idx, bounds)) for idx in (qk, vo))
+        live = [i for i, idx in enumerate(vos) if idx.size]
         self.head_count = max(len(live), 1)
-        qk, vo = _padded([h.qk for h in live]), _padded([h.vo for h in live])
-        mid = np.intersect1d(_alive(block.ffn_up.m_out), _alive(block.ffn_down.m_in))
-        self.q = SlicedLinear(block.wq, cols=qk)
-        self.k = SlicedLinear(block.wk, cols=qk)
-        self.v = SlicedLinear(block.wv, cols=vo)
-        self.o = SlicedLinear(block.wo, rows=vo)
+        qk_cols, vo_cols = _padded([qks[i] for i in live]), _padded([vos[i] for i in live])
+        self.q = SlicedLinear(block.wq, cols=qk_cols)
+        self.k = SlicedLinear(block.wk, cols=qk_cols)
+        self.v = SlicedLinear(block.wv, cols=vo_cols)
+        self.o = SlicedLinear(block.wo, rows=vo_cols)
         self.up = SlicedLinear(block.ffn_up, cols=mid)
         self.down = SlicedLinear(block.ffn_down, rows=mid)
         self.linears = (self.q, self.k, self.v, self.o, self.up, self.down)
+        self.heads = [_HeadPlan(q, v, self) for q, v in zip(qks, vos)]
         self.mid_up_pos = _positions(self.up.out_idx, mid)
         self.mid_down_pos = _positions(self.down.in_idx, mid)
 

@@ -74,7 +74,7 @@ def oracle_importance(model, windows, ref):
     """Brute-force importance: |L(mask with channel zeroed) − L(mask)|."""
     contexts, targets = windows.contexts, windows.targets
     layer = layer_by_id(model, ref.layer_id)
-    mask = layer.m_in if ref.side == "input" else layer.m_out
+    mask = layer.mask(ref.side)
     base = batch_loss(model, contexts, targets)[0]
     saved = mask[ref.index]
     mask[ref.index] = 0.0

@@ -62,6 +62,22 @@ class TestRoundTrip:
         assert loaded.ledger.alpha == pruned_model.ledger.alpha
         assert loaded.ledger.batch_count == pruned_model.ledger.batch_count
 
+    def test_ties_survive_and_a_bare_layout_ties_nothing(self, tmp_path, pruned_model):
+        """The ties come from the model's coupled pairs, not from the stored
+        ledger, so loading rebuilds them; a ledger built from its layout
+        alone ties nothing."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(pruned_model, str(path))
+        ledger, loaded = pruned_model.ledger, load_checkpoint(str(path)).ledger
+        cfg = pruned_model.cfg
+        assert ledger.tie_src.size == 2 * cfg.layers * cfg.d_model
+        np.testing.assert_array_equal(loaded.tie_src, ledger.tie_src)
+        np.testing.assert_array_equal(loaded.tie_dst, ledger.tie_dst)
+        bare = ImportanceLedger(ledger.layout, ledger.alpha)
+        assert bare.tie_src.size == bare.tie_dst.size == 0
+        scores = np.arange(ledger.alive.size, dtype=np.float64)
+        np.testing.assert_array_equal(bare.tie(scores.copy()), scores)
+
     def test_load_draws_no_weights(self, tmp_path, pruned_model, rng, monkeypatch):
         path = tmp_path / "m.ckpt"
         save_checkpoint(pruned_model, str(path))

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prunecast import autodiff as ad
 from prunecast import pruning, training
@@ -157,7 +159,7 @@ class TestPerSampleGrads:
             ctx1, tgt1 = ws.contexts[n:n + 1], ws.targets[n:n + 1]
             for ref in probe:
                 layer = layer_by_id(model, ref.layer_id)
-                mask = layer.m_in if ref.side == "input" else layer.m_out
+                mask = layer.mask(ref.side)
 
                 def loss_at(v):
                     mask[ref.index] = v
@@ -428,6 +430,71 @@ class TestCompactCapture:
         assert np.isfinite(ledger.ema).all()
 
 
+# Per block, the mask bits of the six coupled ends: each head of Q-out,
+# K-out, V-out and O-in either whole, dead or drawn channel by channel, so
+# whole-head skips occur; FFN up-out and down-in drawn channel by channel.
+HEAD_BITS = st.one_of(st.sampled_from([0, 15]), st.integers(0, 15))
+BLOCK_MASKS = st.tuples(*[st.lists(HEAD_BITS, min_size=4, max_size=4)] * 4,
+                        *[st.lists(st.booleans(), min_size=16, max_size=16)] * 2)
+
+
+class TestCouplingTable:
+    """Every consumer of ``Block.pairs`` against per-channel loops over the
+    masks of a 2-block, 4-head model (head width 4, 16 FFN channels)."""
+
+    @staticmethod
+    def masked(blocks):
+        model = wide_heads()
+        for block, (q, k, v, o, up, down) in zip(model.blocks, blocks):
+            for mask, heads in ((block.wq.m_out, q), (block.wk.m_out, k),
+                                (block.wv.m_out, v), (block.wo.m_in, o)):
+                mask[...] = [(bits >> j) & 1 for bits in heads for j in range(4)]
+            block.ffn_up.m_out[...], block.ffn_down.m_in[...] = up, down
+        return model
+
+    @given(st.tuples(BLOCK_MASKS, BLOCK_MASKS))
+    def test_consumers_match_per_channel_sets(self, blocks):
+        model = self.masked(blocks)
+        sliced = slice_pruned(model)
+        ws = small_windows(model, 2, np.random.default_rng(0))
+        kept = model.forward_batch(ws.contexts, tape=ad.Tape(), capture_grads=True).ctx.kept
+        expected_kept = {}
+        for block, twin in zip(model.blocks, sliced.blocks):
+            q, k, v, o = block.wq.m_out, block.wk.m_out, block.wv.m_out, block.wo.m_in
+            union_heads = []
+            for h, plan in enumerate(twin.heads):
+                group = range(4 * h, 4 * h + 4)
+                assert plan.qk.tolist() == [c for c in group if q[c] and k[c]]
+                assert plan.vo.tolist() == [c for c in group if v[c] and o[c]]
+                if any(v[c] or o[c] for c in group):
+                    union_heads += group
+            up, down = block.ffn_up.m_out, block.ffn_down.m_in
+            mid = [c for c in range(16) if up[c] and down[c]]
+            assert twin.up.cols.tolist() == twin.down.rows.tolist() == mid
+            if len(union_heads) < 16:
+                for layer in (block.wq, block.wk, block.wv):
+                    expected_kept[layer.layer_id] = (None, union_heads)
+                expected_kept[block.wo.layer_id] = (union_heads, None)
+            ffn_union = [c for c in range(16) if up[c] or down[c]]
+            if len(ffn_union) < 16:
+                expected_kept[block.ffn_up.layer_id] = (None, ffn_union)
+                expected_kept[block.ffn_down.layer_id] = (ffn_union, None)
+        assert {layer_id: tuple(None if idx is None else idx.tolist() for idx in sides)
+                for layer_id, sides in kept.items()} == expected_kept
+
+        ledger = ImportanceLedger.from_model(model, alpha=0.5)
+        position = {name: i for i, name in enumerate(ledger.names())}
+        src, dst = [], []
+        for b in range(2):
+            for a_end, b_end in (("attn.q:output", "attn.k:output"),
+                                 ("attn.v:output", "attn.o:input")):
+                for c in range(16):
+                    src.append(position[f"block{b}.{a_end}:{c}"])
+                    dst.append(position[f"block{b}.{b_end}:{c}"])
+        assert ledger.tie_src.tolist() == src
+        assert ledger.tie_dst.tolist() == dst
+
+
 def tuple_sort_prune(ledger, k, protected):
     """The per-ref Python reference: sort (ema, ref) tuples, take k."""
     candidates = sorted((float(ledger.ema[i]), r) for i, r in enumerate(ledger.refs)
@@ -481,7 +548,7 @@ class TestLedgerIndexArrays:
         for ref in pruned:
             assert not ledger.alive[position[ref]]
             layer = layer_by_id(model, ref.layer_id)
-            assert (layer.m_in if ref.side == "input" else layer.m_out)[ref.index] == 0.0
+            assert layer.mask(ref.side)[ref.index] == 0.0
 
     def test_refs_rank_and_protected_follow_the_layout(self, eleven_blocks):
         ledger = ImportanceLedger.from_model(eleven_blocks, alpha=0.5)
@@ -664,7 +731,7 @@ class TestProgressive:
         assert all(a >= b for a, b in zip(alive, alive[1:]))
         for ref in trace.pruned_refs():
             layer = layer_by_id(model, ref.layer_id)
-            mask = layer.m_in if ref.side == "input" else layer.m_out
+            mask = layer.mask(ref.side)
             assert mask[ref.index] == 0.0
         assert (ledger.ema >= 0).all()
 

@@ -226,7 +226,7 @@ def unequal_head_widths(model):
             (block.wq if j % 2 else block.wk).m_out[g.start + j] = 0.0
         for j in range(model.cfg.head_dim - 1 - i):
             (block.wv.m_out if j % 2 else block.wo.m_in)[g.stop - 1 - j] = 0.0
-    return lambda sb: ([(h.q_pos.size, h.v_pos.size) for h in sb.heads]
+    return lambda sb: ([(h.qk.size, h.vo.size) for h in sb.heads]
                        == [(4, 1), (3, 2), (2, 3), (1, 4)]
                        and (sb.q.width, sb.v.width) == (16, 16))
 
