@@ -7,11 +7,18 @@ root, except ``timings.json``, which holds wall-clock figures and is outside
 the byte-stability contract. Prints each file that differs or exists on one
 side only, and exits 1 if there is any, 0 if the trees match. A differing
 checkpoint is loaded on both sides (run with ``PYTHONPATH=src``), and the
-line says whether its masks match and how far its parameters moved.
+line says whether its masks match and how far its parameters moved. A
+differing ``.json``, ``.jsonl`` or ``.csv`` file is parsed on both sides,
+and the line gives the largest |Δ| over its numbers and says whether every
+other field (names, pruned channel lists, the layout itself) matches.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +50,61 @@ def checkpoint_moves(a: Path, b: Path) -> str:
     return f"masks {'match' if same else 'differ'}, max |Δ params| {moved:.3g}"
 
 
+def _leaves(value, path=()):
+    """(path, leaf) for every leaf of a parsed JSON value, in order."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parsed(path: Path) -> list:
+    text = path.read_text()
+    if path.suffix == ".json":
+        value = json.loads(text)
+    elif path.suffix == ".jsonl":
+        value = [json.loads(line) for line in text.splitlines() if line.strip()]
+    else:
+        value = [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+    return list(_leaves(value))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def number_moves(a: Path, b: Path) -> str:
+    """The largest |Δ| over two parsed files' numbers, and whether every
+    other leaf and every leaf's place match."""
+    try:
+        la, lb = _parsed(a), _parsed(b)
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        return f"unparsed: {exc}"
+    same = [p for p, _ in la] == [p for p, _ in lb]
+    moved = 0.0
+    for (_, x), (_, y) in zip(la, lb):
+        if _is_number(x) and _is_number(y):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                d = abs(float(x) - float(y))  # nan against a number, or inf - inf
+                moved = max(moved, math.inf if math.isnan(d) else d)
+        else:
+            same = same and x == y
+    return f"max |Δ numbers| {moved:.3g}, other fields {'match' if same else 'differ'}"
+
+
+DETAILS = {".ckpt": checkpoint_moves, ".json": number_moves, ".jsonl": number_moves,
+           ".csv": number_moves}
+
+
 def differing(a: Path, b: Path) -> list[str]:
     """Relative paths whose bytes differ, or that exist under one root only."""
     files_a, files_b = tree_files(a), tree_files(b)
@@ -52,8 +114,8 @@ def differing(a: Path, b: Path) -> list[str]:
             side = a if rel in files_a else b
             out.append(f"{rel} (only in {side})")
         elif (a / rel).read_bytes() != (b / rel).read_bytes():
-            out.append(f"{rel} ({checkpoint_moves(a / rel, b / rel)})"
-                       if rel.suffix == ".ckpt" else str(rel))
+            detail = DETAILS.get(rel.suffix)
+            out.append(f"{rel} ({detail(a / rel, b / rel)})" if detail else str(rel))
     return out
 
 

@@ -5,8 +5,10 @@ the identity h = f(x ⊙ m_in) ⊙ m_out = x (W ⊙ m_inᵀm_out) + b ⊙ m_out.
 Forward passes can run bare (numpy only) or on a gradient tape; the
 capture pass tiles each mask leaf to one row per window, so its gradient
 holds the per-sample mask gradients, and skips the heads and FFN channels
-whose mask gradients are exactly zero. An analysis capture keeps the
-intermediates of the sparsity diagnostics.
+whose mask gradients are exactly zero. Only the last token reaches the
+head, so the last block runs its query, attention, O, norm2 and FFN for
+that token alone. An analysis capture keeps the intermediates of the
+sparsity diagnostics, and every token.
 
 Each weight, bias, gain and offset is a view of one float64 vector per
 model, ``params``, laid out in the checkpoint's payload order.
@@ -303,23 +305,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
               causal: np.ndarray | None) -> Tensor:
     """Scaled dot-product attention of ``heads`` heads side by side.
 
-    ``q`` and ``k`` are (…, T, heads·w_qk) and ``v`` is (…, T, heads·w_vo);
-    head i owns the i-th run of w columns. The heads are split into
-    (…, heads, T, w) views and run in one batched score/softmax/context
-    pass; the contexts are merged back to (…, T, heads·w_vo). ``causal``
-    is an additive (T, T) score mask.
+    ``k`` is (…, T, heads·w_qk) and ``v`` is (…, T, heads·w_vo); head i
+    owns the i-th run of w columns. ``q`` is (…, T, heads·w_qk), or
+    (…, heads·w_qk) for one query token. The heads are split into
+    (…, heads, rows, w) views and run in one batched score/softmax/context
+    pass; the contexts are merged back to q's shape at width heads·w_vo.
+    ``causal`` is an additive (rows, T) score mask.
     """
-    lead, t = q.shape[:-2], q.shape[-2]
+    lead, t = k.shape[:-2], k.shape[-2]
+    merged = q.shape[:-1] + v.shape[-1:]
+    rows = q.shape[-2] if len(q.shape) == len(k.shape) else 1
 
-    def split(p: Tensor) -> Tensor:
-        return ad.swap_axes(ad.reshape(p, lead + (t, heads, p.shape[-1] // heads)), -3, -2)
+    def split(p: Tensor, n: int) -> Tensor:
+        return ad.swap_axes(ad.reshape(p, lead + (n, heads, p.shape[-1] // heads)), -3, -2)
 
-    q, k, v = split(q), split(k), split(v)
+    q, k, v = split(q, rows), split(k, t), split(v, t)
     scores = ad.scale(ad.matmul(q, ad.transpose_last2(k)), scale)
     if causal is not None:
         scores = ad.add(scores, ad.constant(causal))
     contexts = ad.matmul(ad.softmax_rows(scores), v)
-    return ad.reshape(ad.swap_axes(contexts, -3, -2), lead + (t, heads * v.shape[-1]))
+    return ad.reshape(ad.swap_axes(contexts, -3, -2), merged)
 
 
 class AnalysisCapture:
@@ -409,6 +414,12 @@ class ForecasterBase:
         """Forward a (B, L) batch of context windows through ``blocks``
         (by default the model's own); see ``forward_batch``.
 
+        The head reads only the last token. The last block therefore runs
+        norm1, K and V over every token, and Q (one query row per head),
+        O, the residual, norm2 and the FFN on the (B, d) last token. An
+        analysis capture averages its statistics over every token, so it
+        runs every block at every token and takes the last one after.
+
         A plain inference forward, with no tape and no analysis capture,
         runs in an ``ad.reuse_scope`` when ``pools`` says its batch can use
         one: each large op output reuses a buffer that an earlier layer of
@@ -430,26 +441,36 @@ class ForecasterBase:
                 t = cfg.tokens
                 causal = np.triu(np.full((t, t), NEG_INF), k=1)
 
-            for block in self.blocks if blocks is None else blocks:
+            blocks = self.blocks if blocks is None else blocks
+            for i, block in enumerate(blocks):
+                last = cap is None and i == len(blocks) - 1
                 if cap is not None:
                     cap.residuals.append(x.data.copy())
-                x = ad.add(x, self.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal,
-                                               cap))
+                xn = block.norm1.forward(x, ctx)
+                if last:
+                    x = ad.take_token(x, cfg.tokens - 1)
+                x = ad.add(x, self.mha_forward(block, xn, ctx, causal, cap, last))
                 if cap is not None:
                     cap.post_attn.append(x.data.copy())
                 x = ad.add(x, self.ffn_forward(block, block.norm2.forward(x, ctx), ctx, cap))
 
-            pred = self.head.forward(ad.take_token(x, cfg.tokens - 1), ctx)
+            if cap is not None:
+                x = ad.take_token(x, cfg.tokens - 1)
+            pred = self.head.forward(x, ctx)
             return ForwardPass(pred, mu, sigma, ctx, cap)
 
     def mha_forward(self, block, x: Tensor, ctx: ForwardContext | None = None,
-                    causal: np.ndarray | None = None,
-                    cap: AnalysisCapture | None = None) -> Tensor:
-        """Multi-head attention of normalized (…, T, d) tokens through O, no residual."""
+                    causal: np.ndarray | None = None, cap: AnalysisCapture | None = None,
+                    last: bool = False) -> Tensor:
+        """Multi-head attention of normalized (…, T, d) tokens through O, no
+        residual; with ``last``, of the last token only, (…, d). Its query
+        attends to every token, so no causal mask applies."""
         ctx = ctx or ForwardContext()
-        x = ad.constant(x)
+        x = xq = ad.constant(x)
         q, k, v, o = block.linears[:4]
-        merged = attention(q.forward(x, ctx), k.forward(x, ctx), v.forward(x, ctx),
+        if last:
+            xq, causal = ad.take_token(x, x.shape[-2] - 1), None
+        merged = attention(q.forward(xq, ctx), k.forward(x, ctx), v.forward(x, ctx),
                            block.head_count, 1.0 / math.sqrt(self.cfg.head_dim), causal)
         if cap is not None:
             cap.head_outputs.append(self._head_outputs(block, merged.data))

@@ -729,16 +729,28 @@ class TestCompareRuns:
         assert capsys.readouterr().out == ""
 
     def test_differing_and_one_sided_files_listed(self, tmp_path, capsys):
-        a = self.make_tree(tmp_path / "a", {"x/r.json": "1", "only_a.csv": "", "same": "s"})
-        b = self.make_tree(tmp_path / "b", {"x/r.json": "2", "same": "s"})
+        a = self.make_tree(tmp_path / "a", {
+            "x/r.json": '{"mae": 1.5, "pruned": ["q:1", "k:1"], "n": 3}',
+            "t.jsonl": '{"j": 1, "pruned": ["q:1"]}\n{"j": 2, "pruned": []}\n',
+            "s.csv": "layer,score\nq,0.25\n", "bad.json": "{", "notes.txt": "a",
+            "only_a.csv": "", "same": "s"})
+        b = self.make_tree(tmp_path / "b", {
+            "x/r.json": '{"mae": 1.75, "pruned": ["q:1", "k:1"], "n": 3}',
+            "t.jsonl": '{"j": 1, "pruned": ["k:1"]}\n{"j": 2, "pruned": []}\n',
+            "s.csv": "layer,score\nq,0.5\nk,1\n", "bad.json": "{}", "notes.txt": "b",
+            "same": "s"})
         model = Forecaster(ForecasterConfig(**PINNED_MODEL), seed=1)
         save_checkpoint(model, str(a / "m.ckpt"))
         model.head.b[1] += 0.25
         save_checkpoint(model, str(b / "m.ckpt"))
         assert _compare_runs().main([str(a), str(b)]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert out == ["m.ckpt (masks match, max |Δ params| 0.25)",
-                       f"only_a.csv (only in {a})", "x/r.json"]
+        assert out[0].startswith("bad.json (unparsed: ")
+        assert out[1:] == ["m.ckpt (masks match, max |Δ params| 0.25)", "notes.txt",
+                           f"only_a.csv (only in {a})",
+                           "s.csv (max |Δ numbers| 0.25, other fields differ)",
+                           "t.jsonl (max |Δ numbers| 0, other fields differ)",
+                           "x/r.json (max |Δ numbers| 0.25, other fields match)"]
 
 
 # Drawn values stay small: no example builds a large table. Strings come

@@ -11,7 +11,7 @@ from prunecast import model as model_module
 from prunecast.errors import ShapeError
 from prunecast.model import (ACTIVATIONS, ATTENTION_STYLES, NEG_INF, NORM_KINDS, Forecaster,
                              ForecasterConfig, ForwardContext, MaskedLinear)
-from prunecast.slicing import slice_pruned
+from prunecast.slicing import SlicedLinear, slice_pruned
 
 from oracles import assert_grads_close
 
@@ -428,11 +428,11 @@ class TestInferenceBuffers:
         assert len(scopes) == 2 and no_scope_open()
 
         def fail(*args):
-            raise ShapeError("raised after every block ran")
+            raise ShapeError("raised inside the last block")
 
         with monkeypatch.context() as m:
             m.setattr(ad, "take_token", fail)
-            with pytest.raises(ShapeError, match="after every block"):
+            with pytest.raises(ShapeError, match="inside the last block"):
                 model.forward_batch(x)
         assert len(scopes) == 3 and scopes[2] and no_scope_open()
 
@@ -442,12 +442,13 @@ class TestInferenceBuffers:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_later_layers_reuse_the_buffers_of_earlier_ones(self, rng, kind, scopes):
-        for layers in (1, 6):
+        # both models end in one one-token block
+        for layers in (2, 7):
             cfg = pooled_config(layers=layers, heads=4)
             build(cfg, kind, mask_alike).forward_batch(
                 rng.normal(0, 1, (POOLED_BATCH, cfg.context_len)))
-        one, six = (len(pool) for pool in scopes)
-        assert one == six > 0
+        two, seven = (len(pool) for pool in scopes)
+        assert two == seven > 0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_scope_opens_only_where_something_can_be_pooled(self, rng, kind, scopes,
@@ -506,3 +507,83 @@ class TestInferenceBuffers:
         x = rng.normal(0, 1, (256, cfg.context_len))
         np.testing.assert_array_equal(model.forward_batch(x).pred_norm.data,
                                       model.forward_batch(x, tape=ad.Tape()).pred_norm.data)
+
+
+# ---------------------------------------------------------------- one-token last block
+
+def every_token_prediction(model, windows):
+    """The forward with every block, the last one too, run at every token,
+    then the last token's row read by the head."""
+    cfg, ctx = model.cfg, ForwardContext()
+    norm_w, _, _ = model.normalize_windows(windows)
+    x = model.embed.forward(
+        ad.constant(norm_w.reshape(len(windows), cfg.tokens, cfg.patch_len)), ctx)
+    t = cfg.tokens
+    causal = np.triu(np.full((t, t), NEG_INF), k=1) if cfg.attention == "causal" else None
+    for block in model.blocks:
+        x = ad.add(x, model.mha_forward(block, block.norm1.forward(x, ctx), ctx, causal))
+        x = ad.add(x, model.ffn_forward(block, block.norm2.forward(x, ctx), ctx))
+    return model.head.forward(ad.take_token(x, t - 1), ctx).data
+
+
+def record_inputs(monkeypatch):
+    """Every linear layer's input shapes, by layer id, as forwards run; the
+    capture pass's narrowed copies record under their layer's id."""
+    seen = {}
+    for cls in (MaskedLinear, SlicedLinear):
+        def recording(layer, x, ctx, forward=cls.forward):
+            seen.setdefault(layer.layer_id, []).append(x.shape)
+            return forward(layer, x, ctx)
+        monkeypatch.setattr(cls, "forward", recording)
+    return seen
+
+
+class TestOneTokenBlock:
+    """Only the last token reaches the head: the last block runs Q, attention,
+    O, the residual, norm2 and the FFN for that token alone."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("attention", ATTENTION_STYLES)
+    def test_predictions_equal_the_every_token_forward(self, rng, kind, norm, activation,
+                                                       attention):
+        cfg = tiny_config(layers=2, heads=4, d_model=16, d_ffn=24, norm=norm,
+                          activation=activation, attention=attention)
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        x = rng.normal(0, 1, (5, cfg.context_len))
+        ref = every_token_prediction(model, x)
+        got = [model.forward_batch(x).pred_norm.data,
+               model.forward_batch(x, tape=ad.Tape()).pred_norm.data]
+        if kind == "masked":
+            got += [model.forward_batch(x, tape=ad.Tape(), capture_grads=True).pred_norm.data,
+                    model.forward_batch(x, analysis=True).pred_norm.data]
+        for pred in got:
+            assert pred.shape == ref.shape == (5, cfg.horizon)
+            assert np.abs(pred - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_last_block_layers_see_one_token(self, rng, kind, monkeypatch):
+        cfg = tiny_config(layers=2, heads=4, d_model=16, attention="causal")
+        model = build(cfg, kind, lambda m: mask_randomly(m, rng))
+        seen = record_inputs(monkeypatch)
+        n, t = 3, cfg.tokens
+        x = rng.normal(0, 1, (n, cfg.context_len))
+        runs = [{}, {"tape": ad.Tape()}]
+        if kind == "masked":
+            runs.append({"tape": ad.Tape(), "capture_grads": True})
+        one_token = {layer.layer_id for layer in (model.blocks[-1].linears[0],
+                                                  *model.blocks[-1].linears[3:])}
+        for kwargs in runs:
+            seen.clear()
+            model.forward_batch(x, **kwargs)
+            for layer in model.linears():
+                (shape,) = seen[layer.layer_id]
+                lead = (n,) if layer is model.head or layer.layer_id in one_token else (n, t)
+                assert shape[:-1] == lead, (kwargs, layer.layer_id, shape)
+        if kind == "masked":  # the analysis capture keeps every token
+            seen.clear()
+            model.forward_batch(x, analysis=True)
+            for layer in model.linears():
+                (shape,) = seen[layer.layer_id]
+                assert shape[:-1] == ((n,) if layer is model.head else (n, t)), layer.layer_id

@@ -243,8 +243,10 @@ class TestCapturePass:
         fp = model.forward_batch(ws.contexts, tape=tape, capture_grads=True)
         assert fp.ctx.param_leaves == {}
         tokens = (4, model.cfg.tokens)
+        last = model.blocks[-1]
+        one_token = (model.head, last.wq, last.wo, last.ffn_up, last.ffn_down)
         for layer in model.linears():
-            lead = tokens[:1] if layer is model.head else tokens
+            lead = tokens[:1] if any(layer is l for l in one_token) else tokens
             rows, cols = fp.ctx.kept.get(layer.layer_id, (None, None))
             assert [leaf.shape for leaf in fp.ctx.mask_leaves[layer.layer_id]] == [
                 lead + (layer.d_in if rows is None else rows.size,),
