@@ -6,14 +6,16 @@ and channel-mask vectors); interior gradients are passed on and dropped.
 An op computes gradients only for its inputs that are on the tape.
 Broadcasting is deliberately restricted to a leading batch dimension: two
 operands are compatible iff their shapes are equal or one shape is a
-trailing suffix of the other.
+trailing suffix of the other. The one exception is ``linear``'s (N, width)
+masks, one row per window broadcast over its tokens.
 
 Ops write their outputs into arrays from ``empty``. Inside a
 ``reuse_scope``, which a plain inference forward opens, a large output reuses
-a buffer that an earlier op has finished with, and a product with a large
-2-D weight runs as one GEMM over all leading axes. Outside a scope
+a buffer that an earlier op has finished with, and a ``linear`` with a
+large weight runs as one GEMM over all leading axes. Outside a scope
 ``empty`` is ``np.empty``. Ops whose input is on no tape (norms, gelu)
-work in place whether or not a scope is open.
+work in place whether or not a scope is open, and ``linear`` adds its
+bias in place always.
 """
 
 from __future__ import annotations
@@ -88,22 +90,6 @@ def empty(shape: tuple[int, ...]) -> np.ndarray:
         best = np.empty(n)
         pool.append(best)
     return best[:n].reshape(shape)
-
-
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` into an array from ``empty``.
-
-    Inside a reuse scope a 2-D ``b`` of at least ``POOL_MIN`` elements
-    meets all of ``a``'s leading axes in one (rows, k) @ (k, n) GEMM;
-    elsewhere the product is numpy's own, batched over the leading axes.
-    Smaller weights stay batched: with d=32 weights and 128 windows the one
-    GEMM took up to 2.4x as long.
-    """
-    shape = a.shape[:-1] + b.shape[-1:]
-    if _pool is not None and b.ndim == 2 and b.size >= POOL_MIN and a.ndim > 2:
-        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-        return np.matmul(rows, b, out=empty((rows.shape[0], b.shape[1]))).reshape(shape)
-    return np.matmul(a, b, out=empty(shape))
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -318,30 +304,86 @@ def scale(a, c: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product; supports (m,k)@(k,n), (...,m,k)@(k,n) and batched
-    (...,m,k)@(...,k,n) with identical leading dimensions."""
+    (...,m,k)@(...,k,n) with identical leading dimensions. A 2-D ``b`` is
+    a ``linear`` node."""
     a, b = constant(a), constant(b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs 2-D+ operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
+    if bd.ndim == 2:
+        return linear(a, b)
+    if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul batch or inner dimensions disagree: {ad.shape} vs {bd.shape}")
     ga, gb = a.requires_grad, b.requires_grad
     ka, kb = _kept(a, b)
-    if bd.ndim == 2:
-        def bw(g):
-            da = g @ kb.swapaxes(-1, -2) if ga else None
-            db = np.tensordot(ka, g, axes=(tuple(range(ka.ndim - 1)),
-                                           tuple(range(g.ndim - 1)))) if gb else None
-            return da, db
-    else:
-        if ad.shape[:-2] != bd.shape[:-2]:
-            raise ShapeError(f"matmul batch dimensions disagree: {ad.shape} vs {bd.shape}")
 
-        def bw(g):
-            return (g @ kb.swapaxes(-1, -2) if ga else None,
-                    ka.swapaxes(-1, -2) @ g if gb else None)
+    def bw(g):
+        return (g @ kb.swapaxes(-1, -2) if ga else None,
+                ka.swapaxes(-1, -2) @ g if gb else None)
 
-    return _record([a, b], product(ad, bd), bw)
+    return _record([a, b], np.matmul(ad, bd, out=empty(ad.shape[:-1] + bd.shape[-1:])), bw)
+
+
+def _applied(m: np.ndarray, width: int, x_shape: tuple[int, ...]) -> np.ndarray | None:
+    """A ``linear`` mask as it multiplies an activation of ``x_shape``: a
+    (width,) one as it is, an (N, width) one as (N, 1, …, 1, width); None
+    if it is all ones."""
+    if m.shape != (width,) and m.shape != (x_shape[0], width):
+        raise ShapeError(f"linear: mask {m.shape} does not fit input {x_shape}")
+    if not np.count_nonzero(m != 1.0):  # half the time of (m == 1.0).all()
+        return None
+    return m if m.ndim == 1 else m.reshape(m.shape[:1] + (1,) * (len(x_shape) - 2) + m.shape[1:])
+
+
+def linear(x, w, b=None, m_in=None, m_out=None) -> Tensor:
+    """((x ⊙ m_in) W + b) ⊙ m_out as one node, for (…, k) x and (k, n) w.
+
+    A mask is (width,), or (N, width) for an (N, …, width) activation: one
+    row per window, broadcast over its tokens, whose gradient is that
+    window's own sum. A missing or all-ones mask is not applied. The bias
+    is added in place, and the output mask is applied in place unless it is
+    on a tape, as its gradient reads the unmasked output. Inside a reuse scope
+    a ``w`` of at least ``POOL_MIN`` elements meets all of ``x``'s leading
+    axes in one (rows, k) @ (k, n) GEMM; elsewhere the product is numpy's
+    own, batched over the leading axes. Smaller weights stay batched: with
+    d=32 weights and 128 windows the one GEMM took up to 2.4x as long.
+    Each input is a Tensor or a float64 array; off the tape none is wrapped.
+    """
+    args = (x, w, b, m_in, m_out)
+    xd, wd, bd, mid, mod = [t.data if isinstance(t, Tensor) else t for t in args]
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1]:
+        raise ShapeError(f"linear: input {xd.shape} does not meet weight {wd.shape}")
+    mi = None if mid is None else _applied(mid, wd.shape[0], xd.shape)
+    mo = None if mod is None else _applied(mod, wd.shape[1], xd.shape)
+    xm = xd if mi is None else np.multiply(xd, mi, out=empty(xd.shape))
+    shape = xd.shape[:-1] + wd.shape[1:]
+    rows = xm
+    if _pool is not None and wd.size >= POOL_MIN and xd.ndim > 2:
+        rows = xm.reshape(-1, xd.shape[-1])
+    z = np.matmul(rows, wd, out=empty(rows.shape[:-1] + wd.shape[1:])).reshape(shape)
+    if bd is not None:
+        z += bd
+    gx, gw, gb, gi, go = tracked = [isinstance(t, Tensor) and t.node_id is not None for t in args]
+    out = z if mo is None else np.multiply(z, mo, out=empty(shape) if go else z)
+    if not any(tracked):
+        return Tensor(out)
+    given = [t is not None for t in args]
+    # the activations the backward reads, kept only if it does
+    kx, kxm, kz = (xd if gi else None), (xm if gw else None), (z if go else None)
+
+    def bw(g):
+        gz = g if mo is None else g * mo
+        da = gz @ wd.T if gx or gi else None
+        lead = tuple(range(g.ndim - 1))
+        grads = ((da if mi is None else da * mi) if gx else None,
+                 np.tensordot(kxm, gz, axes=(lead, lead)) if gw else None,
+                 gz.sum(axis=lead) if gb else None,
+                 # a mask's gradient is summed over every axis but its own
+                 (da * kx).sum(axis=tuple(range(mid.ndim - 1, g.ndim - 1))) if gi else None,
+                 (g * kz).sum(axis=tuple(range(mod.ndim - 1, g.ndim - 1))) if go else None)
+        return tuple(d for d, has in zip(grads, given) if has)
+
+    return _record([constant(t) for t in args if t is not None], out, bw)
 
 
 def transpose_last2(a) -> Tensor:

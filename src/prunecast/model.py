@@ -1,11 +1,12 @@
 """Patch-based transformer forecaster whose every linear layer is maskable.
 
 Every linear transformation carries binary input/output channel masks with
-the identity h = f(x ⊙ m_in) ⊙ m_out = x (W ⊙ m_inᵀm_out) + b ⊙ m_out.
-Forward passes can run bare (numpy only) or on a gradient tape; the
-capture pass tiles each mask leaf to one row per window, so its gradient
-holds the per-sample mask gradients, and skips the heads and FFN channels
-whose mask gradients are exactly zero. Only the last token reaches the
+the identity h = f(x ⊙ m_in) ⊙ m_out = x (W ⊙ m_inᵀm_out) + b ⊙ m_out,
+and runs as one ``ad.linear`` call on and off the tape, as in the sliced
+twin. Forward passes can run bare or on a gradient tape; the capture
+pass gives each mask leaf one row per window, so its gradient holds the
+per-sample mask gradients, and skips the heads and FFN channels whose
+mask gradients are exactly zero. Only the last token reaches the
 head, so the last block runs its query, attention, O, norm2 and FFN for
 that token alone. An analysis capture keeps the intermediates of the
 sparsity diagnostics, and every token.
@@ -128,14 +129,15 @@ class ForwardContext:
 
     On a tape every parameter and mask becomes a watched leaf. The capture
     pass (``capture_grads``) reads only mask gradients, so there parameters
-    enter as constants and each mask leaf is tiled (a broadcast view, no
-    copy) to the shape of the activation a it multiplies, one row per
-    window: its gradient is a ⊙ ∂L/∂(a ⊙ m) per window and token, and no
-    weight, bias or gain gradient is ever formed.
+    enter as constants and each mask leaf is (N, width), one row per window
+    (a broadcast view, no copy) that ``ad.linear`` broadcasts over the
+    window's tokens: its gradient is window n's Σ_tokens a ⊙ ∂L/∂(a ⊙ m)
+    for the activation a it multiplies, and no weight, bias or gain
+    gradient is ever formed.
 
     ``kept[layer_id]`` holds the master (input, output) channels of each
     layer ``Forecaster._capture_block`` narrowed, None for a side kept
-    whole; its leaves are tiled at that width.
+    whole; its leaves are that wide.
 
     A parameter leaf named in ``grads`` sums its gradient into that view.
     """
@@ -149,22 +151,34 @@ class ForwardContext:
         self.mask_leaves: dict[str, tuple[Tensor, Tensor]] = {}
         self.kept: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
 
-    def lift(self, name: str, array: np.ndarray) -> Tensor:
+    def lift(self, name: str, array: np.ndarray) -> Tensor | np.ndarray:
         if self.tape is None or self.capture_grads:
-            return ad.constant(array)
+            return array
         leaf = self.param_leaves.get(name)
         if leaf is None:
             leaf = self.tape.watch(array, self.grads.get(name))
             self.param_leaves[name] = leaf
         return leaf
 
-    def masks(self, layer: MaskedLinear, lead: tuple[int, ...]) -> tuple[Tensor, Tensor]:
-        """A layer's (m_in, m_out) as watched leaves: 1-D on a plain tape,
-        tiled to the (*lead, width) activations in the capture pass."""
+    def linear(self, layer, x: Tensor, m_in=None, m_out=None) -> Tensor:
+        """``ad.linear`` of ``x`` through a layer's weight and bias. On a
+        tape each is lifted, the weight first: ``finetune`` sums its clip
+        norm in ``param_leaves`` order."""
+        if self.tape is None:  # no leaves: skip formatting their names
+            return ad.linear(x, layer.w, layer.b, m_in, m_out)
+        w = self.lift(f"{layer.layer_id}.w", layer.w)
+        b = None if layer.b is None else self.lift(f"{layer.layer_id}.b", layer.b)
+        return ad.linear(x, w, b, m_in, m_out)
+
+    def masks(self, layer: MaskedLinear, n: int) -> tuple:
+        """A layer's (m_in, m_out): its arrays with no tape, else watched
+        leaves, 1-D on a plain tape and (n, width) in the capture pass."""
+        if self.tape is None:
+            return layer.m_in, layer.m_out
         leaves = self.mask_leaves.get(layer.layer_id)
         if leaves is None:
-            tile = lead if self.capture_grads else ()
-            leaves = tuple(self.tape.watch(np.broadcast_to(m, tile + m.shape))
+            rows = (n,) if self.capture_grads else ()
+            leaves = tuple(self.tape.watch(np.broadcast_to(m, rows + m.shape))
                            for m in (layer.m_in, layer.m_out))
             self.mask_leaves[layer.layer_id] = leaves
         return leaves
@@ -193,27 +207,10 @@ class MaskedLinear:
         return self.m_in if side == "input" else self.m_out
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        """(x ⊙ m_in) W + b, times m_out. With no tape the product runs in
-        numpy (``ad.product``) and the bias and output mask are applied to
-        it in place; all-ones masks are skipped."""
+        """((x ⊙ m_in) W + b) ⊙ m_out as one ``ad.linear`` node."""
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"{self.layer_id}: input width {x.shape[-1]} != d_in {self.d_in}")
-        if ctx.tape is None:
-            out = x.data
-            if not (self.m_in == 1.0).all():
-                out = np.multiply(out, self.m_in, out=ad.empty(out.shape))
-            out = ad.product(out, self.w)
-            if self.b is not None:
-                out += self.b
-            if not (self.m_out == 1.0).all():
-                out *= self.m_out
-            return ad.constant(out)
-
-        m_in_t, m_out_t = ctx.masks(self, x.shape[:-1])
-        y = ad.matmul(ad.mul(x, m_in_t), ctx.lift(f"{self.layer_id}.w", self.w))
-        if self.b is not None:
-            y = ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
-        return ad.mul(y, m_out_t)
+        return ctx.linear(self, x, *ctx.masks(self, x.shape[0]))
 
     def folded_forward(self, x: np.ndarray) -> np.ndarray:
         """The right-hand side of the mask identity: x(W ⊙ m_inᵀm_out) + b ⊙ m_out."""
@@ -332,7 +329,6 @@ class AnalysisCapture:
 
     def __init__(self):
         self.residuals: list[np.ndarray] = []      # per layer: (B, T, d) pre-MHA residual
-        self.post_attn: list[np.ndarray] = []      # per layer: (B, T, d) after the MHA add
         self.head_outputs: list[np.ndarray] = []   # per layer: (H, B, T, d), head first
         self.activations: list[np.ndarray] = []    # per layer: (B, T, d_ffn) post-activation
 
@@ -450,8 +446,6 @@ class ForecasterBase:
                 if last:
                     x = ad.take_token(x, cfg.tokens - 1)
                 x = ad.add(x, self.mha_forward(block, xn, ctx, causal, cap, last))
-                if cap is not None:
-                    cap.post_attn.append(x.data.copy())
                 x = ad.add(x, self.ffn_forward(block, block.norm2.forward(x, ctx), ctx, cap))
 
             if cap is not None:
@@ -549,7 +543,7 @@ class Forecaster(ForecasterBase):
         along. With a tape, every parameter and mask becomes a watched leaf,
         and a parameter named in ``grads`` sums its gradient into that view
         (see ``ForwardContext``); with ``capture_grads`` as well, only the
-        masks are leaves, each tiled to one row per window, and each block
+        masks are leaves, each one row per window, and each block
         runs narrowed by ``_capture_block``. An analysis capture reads every
         head, so it keeps the full-width blocks.
         """

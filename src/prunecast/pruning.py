@@ -202,15 +202,14 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     the tape's mask leaves.
 
     The forward is the capture pass (``capture_grads``): parameters are
-    constants and each mask leaf is tiled to the activation it multiplies,
-    so the backward forms no weight, bias or gain gradient. With the
-    batch-mean loss, a leaf row private to window n receives 1/N times the
-    gradient of that window's own loss, so
-    g_{n,i} = N · Σ_tokens ∂L/∂m[n, t, i].
+    constants and each mask leaf is (N, width), one row per window, so the
+    backward forms no weight, bias or gain gradient. With the batch-mean
+    loss, leaf row n receives 1/N times the gradient of window n's own
+    loss, summed over its tokens by ``ad.linear``, so g_{n,i} = N · ∂L/∂m[n, i].
 
     The capture pass skips channels whose gradients are exactly 0
-    (``Forecaster._capture_block``). A narrowed leaf's token sums are
-    written into zeros at the layer's full width, at the master channels
+    (``Forecaster._capture_block``). A narrowed leaf's rows are written
+    into zeros at the layer's full width, at the master channels
     ``ctx.kept`` names, so every array is (N, width) and a skipped channel
     reads 0.0.
     """
@@ -226,13 +225,9 @@ def per_sample_grads(model: Forecaster, contexts: np.ndarray,
     for layer in model.linears():
         kept = fp.ctx.kept.get(layer.layer_id, (None, None))
         for side, leaf, idx in zip(("input", "output"), fp.ctx.mask_leaves[layer.layer_id], kept):
-            g = tape.grad(leaf)
-            g = n * g.sum(axis=tuple(range(1, g.ndim - 1)))
-            if idx is not None:
-                full = np.zeros((n, layer.mask(side).size))
-                full[:, idx] = g
-                g = full
-            arrays[(layer.layer_id, side)] = g
+            full = np.zeros((n, layer.mask(side).size))
+            full[:, slice(None) if idx is None else idx] = n * tape.grad(leaf)
+            arrays[(layer.layer_id, side)] = full
     return PerSampleGrads(arrays, loss.item())
 
 

@@ -82,9 +82,7 @@ class SlicedLinear:
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.shape[-1] != self.rows.size:
             x = ad.gather_last(x, self.rows)
-        y = ad.matmul(x, ctx.lift(f"{self.layer_id}.w", self.w))
-        if self.b is not None:
-            y = ad.add(y, ctx.lift(f"{self.layer_id}.b", self.b))
+        y = ctx.linear(self, x)
         return y if self.cols.size == self.width else ad.scatter_last(y, self.cols, self.width)
 
     def surviving_weights(self) -> int:

@@ -32,6 +32,13 @@ def _check_op(build, arrays, rtol=1e-4, h=1e-5, label=""):
         assert_grads_close(g, numeric, rtol=rtol, label=f"{label}[{i}]")
 
 
+def _binary(rng, shape):
+    """A 0/1 mask with at least one 0 and one 1."""
+    m = (rng.random(shape) >= 0.4).astype(np.float64)
+    m.reshape(-1)[:2] = (0.0, 1.0)
+    return m
+
+
 class TestMatmul:
     def test_identity(self):
         out = ad.matmul(np.eye(2), np.array([[3.0, 4.0], [5.0, 6.0]]))
@@ -62,9 +69,15 @@ class TestMatmul:
         _check_op(lambda x, y: ad.mse_loss(ad.matmul(x, y), ad.constant(t)),
                   [a, c], rtol=1e-6, label="matmul batched")
 
-    @pytest.mark.parametrize("op, shapes", [(ad.matmul, [(2, 3, 4), (4, 5)]),
-                                            (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
-                                            (ad.mul, [(3, 4), (4,)])])
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.matmul, [(2, 3, 4), (4, 5)]),
+        (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+        (ad.mul, [(3, 4), (4,)]),
+        # constant masks, one row per window, and a bias; m_in is all ones,
+        # so the weight's gradient reads x itself, not x ⊙ m_in
+        (lambda x, w: ad.linear(x, w, np.ones(5), np.ones((2, 4)),
+                                _binary(np.random.default_rng(0), (2, 5))),
+         [(2, 3, 4), (4, 5)])])
     def test_closure_keeps_only_what_its_backward_reads(self, rng, op, shapes):
         """With the weight a constant, the input's gradient needs only the
         weight: the input is freed once its caller drops it. With the weight
@@ -77,6 +90,66 @@ class TestMatmul:
             del x
             assert (alive() is not None) == weight_on_tape
             assert tape.nodes[out.node_id].backward is not None
+
+
+class TestLinear:
+    """``ad.linear``: ((x ⊙ m_in) W + b) ⊙ m_out as one node."""
+
+    @pytest.mark.parametrize("x_shape, m_lead, bias", [
+        ((3, 4), (), True),         # 2-D x, 1-D masks
+        ((2, 3, 4), (), True),      # 3-D x, 1-D masks
+        ((2, 3, 4), (2,), True),    # one mask row per window, over 3 tokens
+        ((2, 4), (2,), True),       # one mask row per window of one token
+        ((2, 3, 4), (2,), False),   # no bias
+    ])
+    def test_gradients_vs_finite_differences(self, rng, x_shape, m_lead, bias):
+        x = rng.uniform(-2, 2, x_shape)
+        w = rng.uniform(-2, 2, (4, 5))
+        m_in, m_out = rng.uniform(0.5, 1.5, m_lead + (4,)), rng.uniform(0.5, 1.5, m_lead + (5,))
+        t = rng.uniform(-1, 1, x_shape[:-1] + (5,))
+        if bias:
+            build = lambda x, w, b, mi, mo: ad.mse_loss(ad.linear(x, w, b, mi, mo),
+                                                        ad.constant(t))
+            arrays = [x, w, rng.uniform(-1, 1, 5), m_in, m_out]
+        else:
+            build = lambda x, w, mi, mo: ad.mse_loss(ad.linear(x, w, None, mi, mo),
+                                                     ad.constant(t))
+            arrays = [x, w, m_in, m_out]
+        _check_op(build, arrays, rtol=1e-4, label="linear")
+
+    def test_equals_the_four_op_chain(self, rng):
+        """The same values as mul → matmul → add → mul, with each (N, width)
+        mask's gradient the chain's token-tiled leaf gradient summed over tokens."""
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        m_in, m_out = _binary(rng, (2, 4)), _binary(rng, (2, 5))
+        t = rng.normal(size=(2, 3, 5))
+        got, grads = _tape_grads(lambda *a: ad.mse_loss(ad.linear(*a), ad.constant(t)),
+                                 [x, w, b, m_in, m_out])
+        tiled = [np.repeat(m[:, None, :], 3, axis=1) for m in (m_in, m_out)]
+        want, chain = _tape_grads(lambda x, w, b, mi, mo: ad.mse_loss(
+            ad.mul(ad.add(ad.matmul(ad.mul(x, mi), w), b), mo), ad.constant(t)),
+            [x, w, b] + tiled)
+        assert got == want
+        for g, c in zip(grads, chain[:3] + [c.sum(axis=1) for c in chain[3:]]):
+            assert np.array_equal(g, c)
+
+    @pytest.mark.parametrize("m_lead", [(), (2,)])
+    def test_off_tape_output_is_the_on_tape_output(self, rng, m_lead):
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        for m_in, m_out in ((_binary(rng, m_lead + (4,)), _binary(rng, m_lead + (5,))),
+                            (np.ones(m_lead + (4,)), np.ones(m_lead + (5,)))):
+            off = ad.linear(x, w, b, m_in, m_out)
+            tape = ad.Tape()
+            on = ad.linear(*(tape.watch(a) for a in (x, w, b, m_in, m_out)))
+            assert off.node_id is None and on.node_id is not None
+            assert np.array_equal(off.data, on.data)
+
+    def test_shapes_that_do_not_fit_are_rejected(self):
+        x, w = np.zeros((2, 3, 4)), np.zeros((4, 5))
+        for args in ((np.zeros((2, 3, 5)), w), (x, w, None, np.zeros(5)),
+                     (x, w, None, None, np.zeros((3, 5)))):
+            with pytest.raises(ShapeError, match="linear"):
+                ad.linear(*args)
 
 
 class TestSoftmax:
@@ -345,6 +418,8 @@ MIXED_OPS = {
     "mul": (lambda a, b: ad.mul(a, b), [(3, 4), (3, 4)]),
     "matmul": (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)]),
     "matmul_batched": (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (2, 4, 5)]),
+    "linear": (lambda x, w, b, mi, mo: ad.linear(x, w, b, mi, mo),
+               [(2, 3, 4), (4, 5), (5,), (2, 4), (5,)]),
     "layer_norm": (lambda a, g, o: ad.layer_norm(a, g, o, 1e-5), [(3, 4), (4,), (4,)]),
     "rms_norm": (lambda a, g: ad.rms_norm(a, g, 1e-5), [(3, 4), (4,)]),
     "mse_loss": (lambda a, b: ad.mse_loss(a, b), [(3, 4), (3, 4)]),

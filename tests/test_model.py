@@ -211,7 +211,9 @@ class TestAttention:
         fp = model.forward_batch(windows, analysis=True)
         assert fp.analysis is not None
         for layer in range(cfg.layers):
-            delta = fp.analysis.post_attn[layer] - fp.analysis.residuals[layer]
+            block, ctx = model.blocks[layer], ForwardContext()
+            xn = block.norm1.forward(ad.constant(fp.analysis.residuals[layer]), ctx)
+            delta = model.mha_forward(block, xn, ctx).data
             total = fp.analysis.head_outputs[layer].sum(axis=0)
             total = total + model.blocks[layer].wo.b * model.blocks[layer].wo.m_out
             assert np.abs(delta - total).max() <= 1e-10

@@ -242,15 +242,11 @@ class TestCapturePass:
         tape = ad.Tape()
         fp = model.forward_batch(ws.contexts, tape=tape, capture_grads=True)
         assert fp.ctx.param_leaves == {}
-        tokens = (4, model.cfg.tokens)
-        last = model.blocks[-1]
-        one_token = (model.head, last.wq, last.wo, last.ffn_up, last.ffn_down)
-        for layer in model.linears():
-            lead = tokens[:1] if any(layer is l for l in one_token) else tokens
+        for layer in model.linears():  # one row per window, whatever the tokens
             rows, cols = fp.ctx.kept.get(layer.layer_id, (None, None))
             assert [leaf.shape for leaf in fp.ctx.mask_leaves[layer.layer_id]] == [
-                lead + (layer.d_in if rows is None else rows.size,),
-                lead + (layer.d_out if cols is None else cols.size,)], layer.layer_id
+                (4, layer.d_in if rows is None else rows.size),
+                (4, layer.d_out if cols is None else cols.size)], layer.layer_id
         for block in model.blocks:  # residual-facing sides stay full width
             for layer in (block.wq, block.wk, block.wv, block.ffn_up):
                 assert fp.ctx.kept.get(layer.layer_id, (None,))[0] is None

@@ -12,8 +12,8 @@ from prunecast import autodiff as ad
 from prunecast.checkpoint import checkpoint_bytes, load_checkpoint
 from prunecast.data import WindowSet
 from prunecast.model import (ACTIVATIONS, ATTENTION_STYLES, NORM_KINDS, Forecaster,
-                             ForecasterConfig)
-from prunecast.slicing import slice_pruned
+                             ForecasterConfig, MaskedLinear)
+from prunecast.slicing import SlicedLinear, slice_pruned
 from prunecast.training import TrainConfig, batch_loss, finetune
 
 from test_model import tiny_config
@@ -159,8 +159,9 @@ class TestSlicing:
 
     def test_each_weight_and_bias_leaf_feeds_one_node(self, rng):
         """On the tape, each weight and bias of a pruned twin is an input of
-        exactly one node, its layer's product or bias add, which also takes
-        the activation: no weight is re-gathered or transposed per forward."""
+        exactly one node, its layer's ``linear``, whose inputs are the
+        activation, the weight and the bias: no weight is re-gathered or
+        transposed per forward."""
         model = Forecaster(tiny_config(heads=4, d_model=16, d_ffn=24), seed=3)
         prune_random_channels(model, 0.3, rng)
         sliced = slice_pruned(model)
@@ -174,8 +175,60 @@ class TestSlicing:
             for i in node.inputs:
                 if i in consumers:
                     consumers[i].append(node)
-        for nodes in consumers.values():
-            assert len(nodes) == 1 and len(nodes[0].inputs) == 2
+        for layer in sliced.linears():
+            w, b = (fp.ctx.param_leaves.get(f"{layer.layer_id}.{key}") for key in ("w", "b"))
+            params = (w.node_id,) if b is None else (w.node_id, b.node_id)
+            [node] = consumers[w.node_id]
+            assert node.inputs[1:] == params and node.inputs[0] not in consumers
+            assert all(consumers[p] == [node] for p in params)
+
+    def test_every_linear_layer_records_one_node(self, rng, monkeypatch):
+        """On a masked tape, in the capture pass and on a twin tape, each
+        linear layer's forward records one ``linear`` node; the twin's
+        layers may add the gather and scatter of their index maps, and no
+        layer records anything else but its leaves."""
+        model = Forecaster(tiny_config(heads=4, d_model=16, d_ffn=24), seed=3)
+        prune_random_channels(model, 0.3, rng)
+        sliced = slice_pruned(model)
+        windows = rng.normal(0, 1, (4, model.cfg.context_len))
+        made: dict[str, list[int]] = {}
+
+        def recording(name):
+            op = getattr(ad, name)
+
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
+                made.setdefault(name, []).append(out.node_id)
+                return out
+            monkeypatch.setattr(ad, name, wrapped)
+
+        for name in ("linear", "gather_last", "scatter_last"):
+            recording(name)
+        seen = []
+
+        def counting(forward):
+            def wrapped(layer, x, ctx):
+                before = len(ctx.tape.nodes)
+                made.clear()
+                out = forward(layer, x, ctx)
+                nodes = ctx.tape.nodes[before:]
+                interior = [before + i for i, node in enumerate(nodes) if node.inputs]
+                seen.append((layer.layer_id, interior, dict(made)))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(MaskedLinear, "forward", counting(MaskedLinear.forward))
+        monkeypatch.setattr(SlicedLinear, "forward", counting(SlicedLinear.forward))
+        for run in (lambda: model.forward_batch(windows, tape=ad.Tape()),
+                    lambda: model.forward_batch(windows, tape=ad.Tape(), capture_grads=True),
+                    lambda: sliced.forward_batch(windows, tape=ad.Tape())):
+            seen.clear()
+            run()
+            assert [lid for lid, _, _ in seen] == [l.layer_id for l in model.linears()]
+            for lid, interior, ops in seen:
+                assert len(ops.get("linear", ())) == 1, lid
+                assert sorted(interior) == sorted(i for ids in ops.values() for i in ids), lid
+        assert sum(len(ops) for _, _, ops in seen) > len(seen)  # the twin did gather
 
 
 def stored_layout(layer, twin):

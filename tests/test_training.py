@@ -100,6 +100,17 @@ def assert_one_vector(model):
 
 
 class TestParameterVector:
+    @pytest.mark.parametrize("sliced", [False, True], ids=["masked", "sliced"])
+    def test_forward_lifts_weights_and_biases_in_layout_order(self, rng, sliced):
+        """The clip norm is summed in ``param_leaves`` order, so its bits
+        depend on it: a forward lifts each layer's weight, then its bias,
+        layer by layer as ``layout`` lists them."""
+        model = Forecaster(tiny_config(), seed=5)
+        net = slice_pruned(model) if sliced else model
+        fp = net.forward_batch(rng.normal(size=(2, model.cfg.context_len)), tape=ad.Tape())
+        lifted = [name for name in fp.ctx.param_leaves if name.endswith((".w", ".b"))]
+        assert lifted == [name for name, _, _ in net.layout if name.endswith((".w", ".b"))]
+
     def test_every_parameter_stays_a_view_of_params(self, tmp_path):
         assert_one_vector(Forecaster(tiny_config(norm="rmsnorm"), seed=None))
         model = Forecaster(tiny_config(), seed=5)
